@@ -3,7 +3,10 @@
 //! Property: every XA-clean random SPC graph produces the same output on
 //! the reference sequential executor, the simulation engine (any core
 //! count × pipeline depth × schedule policy) and the native thread
-//! engine — and no schedule ever raises `LeaseConflict`.
+//! engine — the production worker pool, perturbed by a seeded policy
+//! (threads add their own nondeterminism on top, so native runs are not
+//! replayable; sim runs are) — and no schedule ever raises
+//! `LeaseConflict`.
 //!
 //! On failure the harness prints the failing case's sampled inputs
 //! (`shape`, `iters`, `depth`, `seed`); the case is reproducible because

@@ -1,13 +1,13 @@
 //! Work-stealing stress layer.
 //!
-//! The native engine's `SchedPolicy::Default` path (hinch's work-stealing
-//! runtime: per-worker deques, atomic dependency window, stream slot
-//! rings) gets hammered with random XA-clean SPC graphs at 2–8 worker
-//! threads and cross-checked against the sequential reference executor.
-//! Unlike the metamorphic layer — which explores *seeded* schedules on
-//! the centralized path — every run here is genuinely racy: thread
-//! preemption decides the schedule, so each proptest case explores a
-//! fresh interleaving of steals, parks and retirements.
+//! The native engine (hinch's worker pool: per-worker deques, atomic
+//! dependency window, stream slot rings) runs under its production
+//! `SchedPolicy::Default` here, hammered with random XA-clean SPC graphs
+//! at 2–8 worker threads and cross-checked against the sequential
+//! reference executor. The metamorphic layer perturbs the same pool with
+//! *seeded* policies; here nothing is seeded: thread preemption decides
+//! the schedule, so each proptest case explores a fresh interleaving of
+//! steals, handoffs, parks and retirements.
 //!
 //! Failures reproduce from the printed `(shape, iters, depth, workers)`
 //! sample (the vendored proptest runner seeds deterministically per test
@@ -36,7 +36,7 @@ proptest! {
         let want = out.lock().clone();
         prop_assert_eq!(oracle.iterations, iters);
 
-        // The work-stealing run (Default policy dispatches to it).
+        // The work-stealing run, production policy.
         let (spec, out) = build_app(&shape);
         let cfg = RunConfig::new(iters).workers(workers).pipeline_depth(depth);
         let report = run_native(&spec, &cfg).unwrap_or_else(|e| {

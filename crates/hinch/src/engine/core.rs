@@ -1,11 +1,10 @@
 //! Per-graph scheduling core: the atomic iteration window and the
 //! admission / completion / retirement state machine.
 //!
-//! Extracted from the single-run work-stealing engine so that one graph
-//! instance's dependency tracking is self-contained: [`super::ws`] drives
-//! exactly one [`GraphCore`] to completion, the serving runtime
-//! ([`super::multi`]) multiplexes many long-lived cores over one worker
-//! pool. The core is queue-agnostic — every operation that readies jobs
+//! One graph instance's dependency tracking is self-contained here: the
+//! worker pool ([`super::multi`]) multiplexes many long-lived cores over
+//! one set of threads (`run_native` spawns exactly one). The core is
+//! queue-agnostic — every operation that readies jobs
 //! pushes bare [`JobRef`]s into a caller-provided vector, and the caller
 //! publishes them (tagged with a graph id, in the serving case) after the
 //! admit lock is released. Publishing late is safe: a readied job is
@@ -113,9 +112,9 @@ pub(super) struct AdmitState {
 }
 
 /// Called under the admit lock after each in-order retirement, with the
-/// retired iteration index. The serving runtime hooks frame-latency
-/// recording and drain wake-ups here; it must be cheap and must not
-/// re-enter the core.
+/// retired iteration index (`completed` already counts it). The pool
+/// hooks frame-latency recording and drain wake-ups here; it must be
+/// cheap and must not re-enter the core.
 pub(super) type RetireHook = Box<dyn Fn(u64) + Send + Sync>;
 
 /// One graph instance's complete scheduling state: window, watermarks,
@@ -204,7 +203,7 @@ impl GraphCore {
     }
 
     /// Classify what an idle worker is blocked on, from the atomic
-    /// counters (mirrors the centralized engine's `wait_cause`).
+    /// counters.
     pub(super) fn wait_cause(&self) -> StallCause {
         // Load order matters: `completed` first, so the subtraction below
         // cannot see a `completed` newer than `admitted`.
@@ -438,7 +437,8 @@ impl GraphCore {
         // The caller's per-job stopwatch, reused here so the hot component
         // path pays one clock read (the `elapsed` below), not two.
         started: Instant,
-        per_node: &mut HashMap<String, (u64, Duration)>,
+        // Per-node tally, kept only when someone reads it (`run_native`).
+        per_node: Option<&mut HashMap<String, (u64, Duration)>>,
         ready: &mut Vec<JobRef>,
     ) -> Option<u64> {
         match &window.dag.jobs[job.idx as usize].kind {
@@ -468,13 +468,15 @@ impl GraphCore {
                         cache: None,
                     });
                 }
-                match per_node.get_mut(&leaf.name) {
-                    Some(e) => {
-                        e.0 += 1;
-                        e.1 += busy;
-                    }
-                    None => {
-                        per_node.insert(leaf.name.clone(), (1, busy));
+                if let Some(per_node) = per_node {
+                    match per_node.get_mut(&leaf.name) {
+                        Some(e) => {
+                            e.0 += 1;
+                            e.1 += busy;
+                        }
+                        None => {
+                            per_node.insert(leaf.name.clone(), (1, busy));
+                        }
                     }
                 }
             }

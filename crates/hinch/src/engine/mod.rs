@@ -1,13 +1,19 @@
 //! Execution engines.
 //!
-//! Both engines share the scheduler core ([`crate::sched::Tracker`]) and
-//! the manager/reconfiguration machinery in this module; they differ only
-//! in *where* jobs run:
+//! Every engine shares the manager/reconfiguration machinery in this
+//! module; they differ in *where* jobs run:
 //!
-//! * [`native`] — a pool of worker threads pulling from a central ready
-//!   queue (automatic load balancing), measured in wall-clock time;
-//! * [`sim`] — a deterministic discrete-event loop placing jobs on the
-//!   virtual cores of a [`crate::meter::Platform`], measured in cycles.
+//! * [`multi`] — the one threaded engine: a long-lived pool of worker
+//!   threads with per-worker deques and work stealing (automatic load
+//!   balancing) over per-graph atomic dependency tracking (`core`),
+//!   measured in wall-clock time. The serving runtime
+//!   ([`Runtime`]) runs many graphs on it; [`run_native`] runs one graph
+//!   to a fixed iteration count;
+//! * [`sim`] — a deterministic discrete-event loop on the scheduler core
+//!   [`crate::sched::Tracker`], placing jobs on the virtual cores of a
+//!   [`crate::meter::Platform`], measured in cycles;
+//! * [`reference`] — the sequential oracle: program order, one iteration
+//!   in flight.
 
 mod core;
 pub mod multi;
@@ -20,7 +26,6 @@ pub mod pool;
 mod pool;
 pub mod reference;
 pub mod sim;
-mod ws;
 
 pub use multi::{
     GraphId, GraphStats, PoolTelemetry, Runtime, RuntimeConfig, ServeError, SpawnOpts,

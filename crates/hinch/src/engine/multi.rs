@@ -1,20 +1,28 @@
-//! Long-lived multi-graph serving runtime ("hinch-as-a-service").
-//!
-//! [`super::ws`] runs exactly one graph to a fixed iteration count and
-//! tears its worker pool down afterwards. A serving front-end needs the
-//! opposite shape: one **shared, long-lived worker pool** multiplexing
-//! many concurrent graph instances, each with its own lifecycle. This
-//! module provides it:
+//! The worker pool: one shared, long-lived pool of threads multiplexing
+//! graph instances ("tenants"), each with its own lifecycle. It is the
+//! only threaded engine — the serving front-end spawns many tenants on
+//! it, and [`super::run_native`] spawns one, runs it to a fixed
+//! iteration count and shuts the pool down:
 //!
 //! * **graph lifecycle** — [`Runtime::spawn`] instantiates a graph and
 //!   registers it as a tenant, [`Runtime::submit`] feeds it frames,
 //!   [`Runtime::drain`] blocks until every accepted frame retired and
 //!   then tears the instance down, verifying that all stream ring slots
 //!   were released;
-//! * **per-graph job tagging** — the worker deques carry [`MJob`]s
-//!   (graph id + [`JobRef`]); stealing is oblivious to graph boundaries,
-//!   so a backlogged tenant's jobs are picked up by whichever worker runs
-//!   dry first (fair stealing across instances);
+//! * **work stealing** — per-worker bounded deques
+//!   ([`super::pool::LocalQueue`]) with a global overflow
+//!   [`super::pool::Injector`]: a worker pushes the jobs its completions
+//!   ready onto its own ring and steals (oldest first) from a peer when it
+//!   runs dry. The deques carry [`MJob`]s (graph id + [`JobRef`]) and
+//!   stealing is oblivious to graph boundaries, so a backlogged tenant's
+//!   jobs are picked up by whichever worker runs dry first;
+//! * **atomic dependency tracking** ([`super::core::GraphCore`]) —
+//!   publishing successors after a completion takes no lock;
+//! * **event-count parking** ([`super::pool::EventCount`]) with one
+//!   wake-up per published job, gated on spare hardware parallelism;
+//! * **direct handoff** — a completion keeps one readied component job
+//!   as its own next job, so the steady-state hot path runs whole
+//!   iterations with no queue traffic and no wake-ups;
 //! * **admission control** — each tenant bounds its in-flight frames
 //!   (`max_backlog`); [`Runtime::submit`] accepts at most the spare
 //!   backlog and reports how many frames it took, which is the
@@ -23,25 +31,26 @@
 //! * **reconfiguration over the wire** — [`Runtime::inject`] drops an
 //!   [`Event`] into a named manager queue of a tenant; the manager's next
 //!   entry invocation polls it and the quiesce/re-flatten machinery of
-//!   [`super::core::GraphCore`] applies the reconfiguration exactly as in
-//!   a single run;
+//!   [`super::core::GraphCore`] applies the reconfiguration;
 //! * **failure isolation** — a panicking component marks *its* graph
 //!   failed (structured lease-conflict reporting included); queued jobs of
-//!   the failed graph are discarded and every other tenant keeps running.
-//!
-//! Scheduling inside one graph is identical to the single-run driver —
-//! same [`super::core::GraphCore`] protocol, same direct handoff, same
-//! event-count parking — so a lone tenant on the shared pool performs
-//! like a dedicated `run_native` call (the `serve` bench gates this at
-//! ≥ 0.9× aggregate).
+//!   the failed graph are discarded and every other tenant keeps running;
+//! * **schedule perturbation** — a tenant spawned by `run_native` under a
+//!   seeded [`SchedPolicy`] orders each completion's readied jobs by
+//!   [`SchedPolicy::key`] and publishes them all (no direct handoff);
+//!   `Shuffle`/`Perturb` also start the steal sweep at a seeded victim.
+//!   The conformance matrices thereby push this same scheduler into
+//!   different corners of the schedule space.
 
 use super::core::{GraphCore, RetireHook, Window};
 use super::pool::{EventCount, Injector, LocalQueue};
+use super::RunConfig;
 use crate::event::Event;
 use crate::graph::flatten::flatten;
 use crate::graph::instance::instantiate_graph_sized;
 use crate::graph::GraphSpec;
-use crate::sched::JobRef;
+use crate::sched::{splitmix64, JobRef, SchedPolicy};
+use crate::sharedbuf::LeaseConflict;
 use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{thread, Condvar, Mutex, RwLock};
 use std::cell::RefCell;
@@ -51,7 +60,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use trace::metrics::{EngineMetrics, GraphLabel, LabeledMetrics, LogHistogram};
 use trace::ring::{Ring, RingEvent, RingSet};
-use trace::StallCause;
+use trace::{StallCause, TraceEvent};
 
 /// Handle to a spawned graph instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -199,23 +208,35 @@ struct MJob {
 /// and its retire hook (separate struct to avoid an `Arc` cycle through
 /// [`GraphCore`]'s hook).
 struct FrameClock {
+    /// Whether frames are timed at all: without it, `times` stays empty
+    /// and `latency` records nothing.
+    timed: bool,
     /// Accept timestamps, FIFO — retirements are processed in iteration
     /// order, which is exactly submit order (both advance under the
     /// tenant's admit lock).
     times: Mutex<VecDeque<Instant>>,
     /// Accept → retire latency per frame.
     latency: LogHistogram,
-    /// Guards the drain condition re-check (lost-wakeup free: the hook
-    /// notifies under this lock *after* `completed` was bumped).
+    /// Retired-frame count a blocked [`Runtime::drain`] waits for
+    /// (`u64::MAX` while nobody drains). The retire hook wakes the drain
+    /// only when retirement reaches it, not on every frame.
+    target: AtomicU64,
+    /// Guards the drain condition re-check. Lost-wakeup free: the drain
+    /// stores `target` and then loads `completed` while holding this lock;
+    /// the hook bumps `completed` before it loads `target` (all `SeqCst`),
+    /// so at least one side sees the other, and a hook that sees the
+    /// target notifies under this lock.
     gate: Mutex<()>,
     cv: Condvar,
 }
 
 impl FrameClock {
-    fn new() -> Self {
+    fn new(timed: bool) -> Self {
         Self {
+            timed,
             times: Mutex::new(VecDeque::new()),
             latency: LogHistogram::default(),
+            target: AtomicU64::new(u64::MAX),
             gate: Mutex::new(()),
             cv: Condvar::new(),
         }
@@ -227,29 +248,112 @@ impl FrameClock {
     }
 }
 
-struct Tenant {
+/// Why a tenant failed: a component panic, kept structured when it is a
+/// shared-buffer lease conflict (the scheduling-bug detector).
+#[derive(Debug, Clone)]
+pub(crate) enum Failure {
+    LeaseConflict(LeaseConflict),
+    Panic(String),
+}
+
+impl Failure {
+    fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
+        match payload.downcast::<LeaseConflict>() {
+            Ok(conflict) => Failure::LeaseConflict(*conflict),
+            Err(p) => Failure::Panic(match p.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(p) => p
+                    .downcast_ref::<&str>()
+                    .unwrap_or(&"component panicked")
+                    .to_string(),
+            }),
+        }
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::LeaseConflict(c) => write!(f, "{c}"),
+            Failure::Panic(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// `run_native`'s per-tenant state. Its tenant also records every park
+/// as a stall on its own trace sink and metrics registry.
+struct Solo {
+    sched: SchedPolicy,
+    /// Readiness sequence number fed to [`SchedPolicy::key`].
+    seq: AtomicU64,
+    /// Per-node (jobs, busy time). Workers tally locally and fold their
+    /// tallies in on tenant switch, before parking and at exit.
+    per_node: Mutex<HashMap<String, (u64, Duration)>>,
+}
+
+impl Solo {
+    /// Order one completion's readied jobs by the policy's key.
+    fn order(&self, jobs: &mut Vec<JobRef>) {
+        let base = self.seq.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        let mut keyed: Vec<_> = jobs
+            .drain(..)
+            .enumerate()
+            .map(|(i, j)| (self.sched.key(j, base + i as u64), j))
+            .collect();
+        keyed.sort_by_key(|&(key, _)| key);
+        jobs.extend(keyed.into_iter().map(|(_, j)| j));
+    }
+}
+
+pub(super) struct Tenant {
     id: u32,
     label: String,
     max_backlog: u64,
     core: GraphCore,
     clock: Arc<FrameClock>,
-    failure: Mutex<Option<String>>,
+    failure: Mutex<Option<Failure>>,
     /// Frames offered but refused by admission control.
     shed: AtomicU64,
     /// Set (under the admit lock) when a [`Runtime::drain`] starts:
     /// admission is closed, so the drain's quiescence wait cannot race a
     /// concurrent submit accepting frames into a tenant being torn down.
     draining: AtomicBool,
+    /// Present only on `run_native`'s tenant.
+    solo: Option<Solo>,
 }
 
 impl Tenant {
     /// Multi-tenant failure isolation: mark this graph failed, discard its
     /// queued jobs (the workers drop them on pop), wake drain waiters.
     /// The pool and every other tenant keep running.
-    fn fail(&self, msg: String) {
+    fn fail(&self, failure: Failure) {
         self.core.aborted.store(true, Ordering::SeqCst);
-        self.failure.lock().get_or_insert(msg);
+        self.failure.lock().get_or_insert(failure);
         self.clock.notify();
+    }
+
+    pub(super) fn failure(&self) -> Option<Failure> {
+        self.failure.lock().clone()
+    }
+
+    /// `run_native`'s per-node profile (empty for a served tenant).
+    pub(super) fn take_profile(&self) -> HashMap<String, (u64, Duration)> {
+        self.solo
+            .as_ref()
+            .map(|s| std::mem::take(&mut *s.per_node.lock()))
+            .unwrap_or_default()
+    }
+
+    /// Fold a worker's per-node tally into `run_native`'s profile.
+    fn absorb(&self, per_node: &mut HashMap<String, (u64, Duration)>) {
+        if let (Some(solo), false) = (&self.solo, per_node.is_empty()) {
+            let mut profile = solo.per_node.lock();
+            for (name, (n, d)) in per_node.drain() {
+                let e = profile.entry(name).or_default();
+                e.0 += n;
+                e.1 += d;
+            }
+        }
     }
 
     fn stats(&self) -> GraphStats {
@@ -268,20 +372,45 @@ impl Tenant {
             latency_p99_ns: self.clock.latency.quantile(0.99),
             latency_buckets: self.clock.latency.nonzero_buckets(),
             shed: self.shed.load(Ordering::Relaxed),
-            failure: self.failure.lock().clone(),
+            failure: self.failure.lock().as_ref().map(|f| f.to_string()),
         }
     }
 }
 
 /// Per-worker telemetry counters: relaxed atomics bumped only by the
-/// owning worker (readers get an approximate-but-monotone view).
+/// owning worker (readers get an approximate-but-monotone view). Padded
+/// to its own cache lines so neighbouring workers' per-job bumps do not
+/// contend.
 #[derive(Default)]
+#[repr(align(128))]
 struct WorkerStats {
     busy_ns: AtomicU64,
     idle_ns: AtomicU64,
     jobs: AtomicU64,
     parks: AtomicU64,
     steals: AtomicU64,
+    /// Pool-epoch nanoseconds + 1 at which the current park began; 0
+    /// while the worker runs. Lets `run_native` count a park in progress.
+    parked_at: AtomicU64,
+}
+
+impl WorkerStats {
+    /// Idle nanoseconds up to `now_ns` (pool epoch), including a park in
+    /// progress. The worker clears `parked_at` before it adds the park to
+    /// `idle_ns`, so a `parked_at` unchanged across the `idle_ns` read
+    /// means the read saw no half-finished park.
+    fn idle_at(&self, now_ns: u64) -> u64 {
+        loop {
+            let parked = self.parked_at.load(Ordering::SeqCst);
+            let idle = self.idle_ns.load(Ordering::SeqCst);
+            if self.parked_at.load(Ordering::SeqCst) == parked {
+                return idle
+                    + parked
+                        .checked_sub(1)
+                        .map_or(0, |p| now_ns.saturating_sub(p));
+            }
+        }
+    }
 }
 
 /// Point-in-time per-worker counters, from [`Runtime::telemetry`].
@@ -304,7 +433,7 @@ pub struct WorkerTelemetry {
 pub struct PoolTelemetry {
     /// One entry per worker, indexed by worker id.
     pub workers: Vec<WorkerTelemetry>,
-    /// Jobs visibly queued (injector + non-empty local deques).
+    /// Jobs visibly queued (injector + local deques).
     pub queued_jobs: usize,
     /// Workers currently parked.
     pub idle_workers: usize,
@@ -318,7 +447,10 @@ struct MultiShared {
     locals: Box<[LocalQueue<MJob>]>,
     injector: Injector<MJob>,
     ec: EventCount,
-    /// Workers not parked — the wake-up throttle (see `ws::WsShared`).
+    /// Workers not parked. Producers wake sleepers only while this is
+    /// below `parallelism` (`min(workers, hardware threads)`): an
+    /// oversubscribed wake-up buys no concurrency, it just burns a futex
+    /// round-trip and a context switch.
     active: AtomicUsize,
     parallelism: usize,
     shutdown: AtomicBool,
@@ -349,11 +481,12 @@ thread_local! {
 }
 
 /// Record into the current worker's ring, if this thread is a
-/// telemetry-enabled worker (no-op on client threads).
-fn ring_record(ev: RingEvent) {
+/// telemetry-enabled worker (no-op on client threads). The event is
+/// built only when there is a ring to take it.
+fn ring_record(ev: impl FnOnce() -> RingEvent) {
     WORKER_RING.with(|cell| {
         if let Some(ring) = cell.borrow().as_ref() {
-            ring.record(ev);
+            ring.record(ev());
         }
     });
 }
@@ -362,23 +495,26 @@ fn ring_record(ev: RingEvent) {
 /// state (cold path — runs once per park, right before the sleep).
 /// Quiesce dominates (a reconfiguration is in flight), then
 /// backpressure, then starvation; a pool with no unfinished work parks
-/// as queue-empty.
-fn classify_park(shared: &MultiShared) -> StallCause {
-    let graphs = shared.graphs.read();
+/// as queue-empty. `run_native`'s tenant, which records the park as a
+/// stall of its own, is pushed into `solo` with its own classification.
+fn classify_park(shared: &MultiShared, solo: &mut Vec<(StallCause, Arc<Tenant>)>) -> StallCause {
+    let rank = |c| match c {
+        StallCause::Quiesce => 3,
+        StallCause::Backpressure => 2,
+        StallCause::Starvation => 1,
+        StallCause::JobQueueEmpty => 0,
+    };
     let mut cause = StallCause::JobQueueEmpty;
-    for t in graphs.values() {
+    for t in shared.graphs.read().values() {
         if t.core.aborted.load(Ordering::Relaxed) {
             continue;
         }
-        match t.core.wait_cause() {
-            StallCause::Quiesce => return StallCause::Quiesce,
-            StallCause::Backpressure => cause = StallCause::Backpressure,
-            StallCause::Starvation => {
-                if cause == StallCause::JobQueueEmpty {
-                    cause = StallCause::Starvation;
-                }
-            }
-            StallCause::JobQueueEmpty => {}
+        let own = t.core.wait_cause();
+        if t.solo.is_some() {
+            solo.push((own, Arc::clone(t)));
+        }
+        if rank(own) > rank(cause) {
+            cause = own;
         }
     }
     cause
@@ -414,8 +550,10 @@ impl MultiShared {
 
 /// Local pop → injector → steal sweep over the peers. Stealing is
 /// graph-oblivious: the oldest job wins whoever owns it, which is what
-/// keeps one backlogged tenant from starving the rest.
-fn find_work(shared: &MultiShared, wid: usize) -> Option<MJob> {
+/// keeps one backlogged tenant from starving the rest. The sweep starts
+/// at the next peer, or at a seeded victim under a perturbing policy
+/// (`sweep` holds its seed and attempt count).
+fn find_work(shared: &MultiShared, wid: usize, sweep: &mut Option<(u64, u64)>) -> Option<MJob> {
     let me = &shared.locals[wid];
     if let Some(job) = me.pop() {
         return Some(job);
@@ -424,29 +562,26 @@ fn find_work(shared: &MultiShared, wid: usize) -> Option<MJob> {
         return Some(job);
     }
     let n = shared.locals.len();
-    for off in 1..n {
-        if let Some(job) = shared.locals[(wid + off) % n].steal() {
-            shared.wstats[wid].steals.fetch_add(1, Ordering::Relaxed);
+    let first = match sweep {
+        Some((seed, attempts)) => {
+            *attempts += 1;
+            splitmix64(*seed ^ splitmix64(*attempts)) as usize % n
+        }
+        None => wid + 1,
+    };
+    for off in 0..n {
+        // `first + off < 2n`: wrap by subtraction, not division.
+        let victim = first + off - if first + off >= n { n } else { 0 };
+        if victim == wid {
+            continue;
+        }
+        if let Some(job) = shared.locals[victim].steal() {
+            let steals = &shared.wstats[wid].steals;
+            steals.store(steals.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
             return Some(job);
         }
     }
     None
-}
-
-/// Render a panic payload for failure reporting.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<crate::sharedbuf::LeaseConflict>() {
-        Ok(conflict) => format!("{conflict}"),
-        Err(payload) => {
-            if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "component panicked".to_string()
-            }
-        }
-    }
 }
 
 fn worker_loop(shared: &MultiShared, wid: u32) {
@@ -456,68 +591,106 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
     if let Some(r) = &ring {
         WORKER_RING.with(|cell| *cell.borrow_mut() = Some(Arc::clone(r)));
     }
+    // Per-node tally for `run_native`'s tenant (empty otherwise), folded
+    // into the tenant whenever the cache below lets go of it.
     let mut per_node: HashMap<String, (u64, Duration)> = HashMap::new();
     let mut ready: Vec<JobRef> = Vec::new();
-    // Per-worker caches, dropped before parking so an idle pool holds no
-    // tenant references (deterministic teardown — see `Runtime::drain`).
+    let mut seeded: Vec<JobRef> = Vec::new();
+    let mut solo_stalls: Vec<(StallCause, Arc<Tenant>)> = Vec::new();
+    // Per-worker caches, borrowed per job and dropped before parking so
+    // an idle pool holds no served tenant's references (deterministic
+    // teardown — see `Runtime::drain`).
     let mut tcache: Option<(u32, Arc<Tenant>)> = None;
-    let mut wcache: Option<(u32, u64, Arc<Window>)> = None;
+    let mut wcache: Option<(u64, Arc<Window>)> = None;
     let mut handoff: Option<MJob> = None;
+    let mut sweep: Option<(u64, u64)> = None;
     loop {
         let mj = if let Some(mj) = handoff.take() {
             mj
         } else {
             loop {
-                if let Some(mj) = find_work(shared, wid as usize) {
+                if let Some(mj) = find_work(shared, wid as usize, &mut sweep) {
                     break mj;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
+                    if let Some((_, t)) = &tcache {
+                        t.absorb(&mut per_node);
+                    }
                     return;
                 }
                 // Park: register interest, re-check everything, sleep.
                 let epoch = shared.ec.prepare();
-                if let Some(mj) = find_work(shared, wid as usize) {
+                if let Some(mj) = find_work(shared, wid as usize, &mut sweep) {
                     break mj;
                 }
+                if let Some((_, t)) = tcache.take() {
+                    t.absorb(&mut per_node);
+                }
+                wcache = None;
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                tcache = None;
-                wcache = None;
                 // Telemetry: classify the stall *at park time* (the
                 // tenants' admission state explains why there is no
                 // work), time the sleep, and record it on this worker's
                 // ring when it ends.
-                let cause = classify_park(shared);
+                let cause = classify_park(shared, &mut solo_stalls);
                 let parked = Instant::now();
+                let parked_ns = parked.duration_since(shared.epoch).as_nanos() as u64;
+                ws.parked_at.store(parked_ns + 1, Ordering::SeqCst);
                 shared.active.fetch_sub(1, Ordering::Relaxed);
                 shared.ec.wait(epoch);
                 shared.active.fetch_add(1, Ordering::Relaxed);
                 let idle = parked.elapsed().as_nanos() as u64;
+                ws.parked_at.store(0, Ordering::SeqCst);
+                ws.idle_ns.fetch_add(idle, Ordering::SeqCst);
                 ws.parks.fetch_add(1, Ordering::Relaxed);
-                ws.idle_ns.fetch_add(idle, Ordering::Relaxed);
                 if let Some(r) = &ring {
-                    let end = shared.now_ns();
                     r.record(RingEvent::Stall {
                         worker: wid,
                         cause,
-                        start: end.saturating_sub(idle),
-                        end,
+                        start: parked_ns,
+                        end: parked_ns + idle,
                     });
+                }
+                for (cause, t) in solo_stalls.drain(..) {
+                    if let Some(sink) = &t.core.trace {
+                        let start = parked.duration_since(t.core.epoch).as_nanos() as u64;
+                        sink.record(TraceEvent::CoreStall {
+                            core: wid,
+                            cause,
+                            start,
+                            end: start + idle,
+                        });
+                    }
+                    if let Some(m) = &t.core.metrics {
+                        m.on_stall(cause, idle);
+                    }
                 }
             }
         };
-        let tenant = match &tcache {
-            Some((id, t)) if *id == mj.graph => t.clone(),
-            _ => match shared.graphs.read().get(&mj.graph) {
+        if tcache.as_ref().map(|(id, _)| *id) != Some(mj.graph) {
+            if let Some((_, t)) = tcache.take() {
+                t.absorb(&mut per_node);
+            }
+            wcache = None;
+            match shared.graphs.read().get(&mj.graph) {
                 Some(t) => {
-                    let t = t.clone();
-                    tcache = Some((mj.graph, t.clone()));
-                    t
+                    // Shuffle/Perturb start each steal sweep at a seeded victim.
+                    sweep = match t.solo.as_ref().map(|s| s.sched) {
+                        Some(SchedPolicy::Shuffle(seed) | SchedPolicy::Perturb(seed)) => {
+                            Some((seed, 0))
+                        }
+                        _ => None,
+                    };
+                    tcache = Some((mj.graph, Arc::clone(t)));
                 }
                 // Graph already torn down (failed + drained): discard.
                 None => continue,
-            },
+            }
+        }
+        let Some((_, tenant)) = &tcache else {
+            unreachable!("tenant cached above")
         };
         let g = &tenant.core;
         if g.aborted.load(Ordering::Acquire) {
@@ -526,18 +699,23 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
         // The in-flight job pins its graph's window; re-validate the
         // cached Arc against the per-graph version.
         let version = g.window_version.load(Ordering::Acquire);
-        let window = match &wcache {
-            Some((id, v, w)) if *id == mj.graph && *v == version => w.clone(),
-            _ => {
-                // SAFETY: holding an in-flight job popped after the swap.
-                let w = unsafe { g.load_window() };
-                wcache = Some((mj.graph, version, w.clone()));
-                w
-            }
+        if wcache.as_ref().map(|(v, _)| *v) != Some(version) {
+            // SAFETY: holding an in-flight job popped after the swap.
+            wcache = Some((version, unsafe { g.load_window() }));
+        }
+        let Some((_, window)) = &wcache else {
+            unreachable!("window cached above")
         };
+        let profiled = tenant.solo.is_some();
+        // `run_native` under a seeded policy.
+        let perturb = tenant
+            .solo
+            .as_ref()
+            .filter(|s| s.sched != SchedPolicy::Default);
         let started = Instant::now();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            g.execute(&window, mj.job, wid, started, &mut per_node, &mut ready)
+            let profile = profiled.then_some(&mut per_node);
+            g.execute(window, mj.job, wid, started, profile, &mut ready)
         }));
         match result {
             Ok(retired) => {
@@ -545,8 +723,11 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                 if let Some(m) = &g.metrics {
                     m.on_job(busy);
                 }
-                ws.jobs.fetch_add(1, Ordering::Relaxed);
-                ws.busy_ns.fetch_add(busy, Ordering::Relaxed);
+                // Single writer (this worker): plain stores, no locked RMW.
+                ws.jobs
+                    .store(ws.jobs.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                let busy_ns = ws.busy_ns.load(Ordering::Relaxed) + busy;
+                ws.busy_ns.store(busy_ns, Ordering::Relaxed);
                 if let Some(r) = &ring {
                     let start = started.duration_since(shared.epoch).as_nanos() as u64;
                     r.record(RingEvent::Job {
@@ -556,50 +737,51 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                         end: start + busy,
                     });
                 }
-                // Direct handoff of a readied component job — slice-
-                // affine first, else oldest, as in the single-run driver
-                // (policy in `Dag::handoff_pick`); the handoff never
-                // crosses a graph boundary (successors share the
-                // completer's graph).
-                handoff = window.dag.handoff_pick(mj.job.idx, &ready).map(|pos| MJob {
-                    graph: mj.graph,
-                    job: ready.remove(pos),
-                });
-                let mut published = 0;
-                for job in ready.drain(..) {
-                    me.push(
-                        MJob {
+                match perturb {
+                    // Perturbed schedule: publish every readied job in
+                    // policy order, hand none off.
+                    Some(solo) => solo.order(&mut ready),
+                    // Direct handoff of a readied component job —
+                    // slice-affine first, else oldest (policy in
+                    // `Dag::handoff_pick`); the handoff never crosses a
+                    // graph boundary (successors share the completer's
+                    // graph).
+                    None => {
+                        handoff = window.dag.handoff_pick(mj.job.idx, &ready).map(|pos| MJob {
                             graph: mj.graph,
-                            job,
-                        },
-                        &shared.injector,
-                    );
-                    published += 1;
+                            job: ready.remove(pos),
+                        })
+                    }
+                }
+                let published = ready.len();
+                for job in ready.drain(..) {
+                    let graph = mj.graph;
+                    me.push(MJob { graph, job }, &shared.injector);
                 }
                 if published > 0 {
                     shared.wake(published);
                 }
                 if let Some(iter) = retired {
-                    let mut seeded = Vec::new();
                     g.retire(iter, &mut seeded);
                     if !seeded.is_empty() {
+                        if let Some(solo) = perturb {
+                            solo.order(&mut seeded);
+                        }
                         let n = seeded.len();
-                        shared
-                            .injector
-                            .push_many(seeded.into_iter().map(|job| MJob {
-                                graph: mj.graph,
-                                job,
-                            }));
+                        shared.injector.push_many(seeded.drain(..).map(|job| MJob {
+                            graph: mj.graph,
+                            job,
+                        }));
                         shared.wake(n);
                     }
                 }
             }
             Err(payload) => {
-                // Unlike the single-run driver, a panic does not take the
-                // pool down: the graph is marked failed and isolated.
+                // A panic does not take the pool down: the graph is
+                // marked failed and isolated.
                 ready.clear();
                 handoff = None;
-                tenant.fail(panic_message(payload));
+                tenant.fail(Failure::from_panic(payload));
             }
         }
     }
@@ -616,6 +798,15 @@ impl Runtime {
     /// Start a pool of `cfg.workers` threads. The pool idles (parked, no
     /// CPU) until the first submission.
     pub fn new(cfg: RuntimeConfig) -> Self {
+        let rt = Self::unstarted(cfg);
+        rt.start();
+        rt
+    }
+
+    /// A pool whose workers are not spawned yet. `run_native` queues its
+    /// run first and then starts the workers into it, the way a fresh run
+    /// begins, instead of waking a pool parked in advance.
+    pub(super) fn unstarted(cfg: RuntimeConfig) -> Self {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(MultiShared {
             graphs: RwLock::new(HashMap::new()),
@@ -631,23 +822,26 @@ impl Runtime {
                 .then(|| Arc::new(RingSet::new(workers, cfg.ring_capacity))),
             wstats: (0..workers).map(|_| WorkerStats::default()).collect(),
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("hinch-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, i as u32))
-                    .expect("spawn worker")
-            })
-            .collect();
         Self {
             shared,
-            workers: Mutex::new(handles),
+            workers: Mutex::new(Vec::new()),
             next_id: AtomicU32::new(0),
         }
     }
 
-    fn get(&self, id: GraphId) -> Result<Arc<Tenant>, ServeError> {
+    /// Spawn the worker threads of an [`Runtime::unstarted`] pool.
+    pub(super) fn start(&self) {
+        let handles = (0..self.shared.locals.len()).map(|i| {
+            let shared = Arc::clone(&self.shared);
+            thread::Builder::new()
+                .name(format!("hinch-serve-{i}"))
+                .spawn(move || worker_loop(&shared, i as u32))
+                .expect("spawn worker")
+        });
+        self.workers.lock().extend(handles);
+    }
+
+    pub(super) fn get(&self, id: GraphId) -> Result<Arc<Tenant>, ServeError> {
         self.shared
             .graphs
             .read()
@@ -659,61 +853,84 @@ impl Runtime {
     /// Instantiate `spec` as a new tenant. The graph is live immediately
     /// but runs nothing until [`Runtime::submit`] accepts frames.
     pub fn spawn(&self, spec: &GraphSpec, opts: SpawnOpts) -> Result<GraphId, ServeError> {
+        self.spawn_tenant(spec, opts, None)
+    }
+
+    /// [`Runtime::spawn`], or with `solo` set, `run_native`'s tenant: the
+    /// `RunConfig`'s trace sink and metrics registry replace the labeled
+    /// registry, and its schedule policy and a per-node profile ride along.
+    pub(super) fn spawn_tenant(
+        &self,
+        spec: &GraphSpec,
+        opts: SpawnOpts,
+        solo: Option<&RunConfig>,
+    ) -> Result<GraphId, ServeError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
         }
         let depth = opts.pipeline_depth.max(1);
         let inst = instantiate_graph_sized(spec, depth);
         let dag = Arc::new(flatten(&inst.root, &inst.streams, 0));
-        let metrics = Arc::new(EngineMetrics::new());
-        let clock = Arc::new(FrameClock::new());
+        // `run_native` reads no frame latency.
+        let clock = Arc::new(FrameClock::new(solo.is_none()));
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let hook: RetireHook = {
             let clock = Arc::clone(&clock);
             let epoch = self.shared.epoch;
             Box::new(move |iter| {
-                let accepted = clock.times.lock().pop_front();
-                if let Some(at) = accepted {
+                let accepted = clock.timed.then(|| clock.times.lock().pop_front());
+                if let Some(at) = accepted.flatten() {
                     let latency = at.elapsed().as_nanos() as u64;
                     clock.latency.record(latency);
                     // The hook runs on the retiring worker's thread, so
                     // this lands on that worker's single-writer ring.
-                    ring_record(RingEvent::Retire {
+                    ring_record(|| RingEvent::Retire {
                         graph: id,
                         iter: iter as u32,
                         at: epoch.elapsed().as_nanos() as u64,
                         latency,
                     });
                 }
-                clock.notify();
+                // `completed` is already `iter + 1` (see FrameClock::gate).
+                if iter + 1 >= clock.target.load(Ordering::SeqCst) {
+                    clock.notify();
+                }
             })
         };
-        let core = GraphCore::new(
-            inst,
-            dag,
-            depth as u64,
-            0,
-            None,
-            Some(Arc::clone(&metrics)),
-            Some(hook),
-        );
+        let (trace, metrics, solo) = match solo {
+            Some(cfg) => (
+                cfg.trace.clone(),
+                cfg.metrics.clone(),
+                Some(Solo {
+                    sched: cfg.sched,
+                    seq: AtomicU64::new(0),
+                    per_node: Mutex::new(HashMap::new()),
+                }),
+            ),
+            None => {
+                let metrics = Arc::new(EngineMetrics::new());
+                self.shared.labels.register(
+                    GraphLabel {
+                        graph_id: id as u64,
+                        app: opts.label.clone(),
+                    },
+                    Arc::clone(&metrics),
+                );
+                (None, Some(metrics), None)
+            }
+        };
+        let core = GraphCore::new(inst, dag, depth as u64, 0, trace, metrics, Some(hook));
         let tenant = Arc::new(Tenant {
             id,
-            label: opts.label.clone(),
+            label: opts.label,
             max_backlog: opts.max_backlog.max(1),
             core,
             clock,
             failure: Mutex::new(None),
             shed: AtomicU64::new(0),
             draining: AtomicBool::new(false),
+            solo,
         });
-        self.shared.labels.register(
-            GraphLabel {
-                graph_id: id as u64,
-                app: opts.label,
-            },
-            metrics,
-        );
         self.shared.graphs.write().insert(id, tenant);
         Ok(GraphId(id))
     }
@@ -726,8 +943,8 @@ impl Runtime {
             return Err(ServeError::Shutdown);
         }
         let tenant = self.get(id)?;
-        if let Some(msg) = tenant.failure.lock().clone() {
-            return Err(ServeError::GraphFailed(msg));
+        if let Some(failure) = tenant.failure.lock().as_ref() {
+            return Err(ServeError::GraphFailed(failure.to_string()));
         }
         if n == 0 {
             return Ok(0);
@@ -753,7 +970,7 @@ impl Runtime {
             if accepted == 0 {
                 return Ok(0);
             }
-            {
+            if tenant.clock.timed {
                 // Timestamps go in *before* the total grows: the retire
                 // hook (same admit lock) can then never pop an empty deque.
                 let now = Instant::now();
@@ -864,6 +1081,9 @@ impl Runtime {
                     break;
                 }
                 let total = tenant.core.total.load(Ordering::SeqCst);
+                // Ask the retire hook for a wake-up at `total`, then
+                // re-check (see FrameClock::gate for why none is lost).
+                tenant.clock.target.store(total, Ordering::SeqCst);
                 let completed = tenant.core.completed.load(Ordering::SeqCst);
                 if completed >= total {
                     break;
@@ -902,7 +1122,18 @@ impl Runtime {
     /// Jobs queued in the pool (injector + local rings). Exact only while
     /// the pool is quiescent; used by teardown/baseline checks.
     pub fn queued_jobs(&self) -> usize {
-        self.shared.injector.len() + self.shared.locals.iter().filter(|q| !q.is_empty()).count()
+        self.shared.injector.len() + self.shared.locals.iter().map(|q| q.len()).sum::<usize>()
+    }
+
+    /// Per-worker (busy, idle) nanoseconds so far, a park in progress
+    /// included (`run_native`'s report).
+    pub(super) fn worker_times(&self) -> Vec<(u64, u64)> {
+        let now = self.shared.now_ns();
+        self.shared
+            .wstats
+            .iter()
+            .map(|w| (w.busy_ns.load(Ordering::Relaxed), w.idle_at(now)))
+            .collect()
     }
 
     /// Workers currently parked.

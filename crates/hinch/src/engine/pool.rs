@@ -1,12 +1,8 @@
-//! Worker-pool building blocks shared by the single-run work-stealing
-//! driver ([`super::ws`]) and the long-lived multi-graph serving runtime
-//! ([`super::multi`]).
+//! Worker-pool building blocks of the native engine ([`super::multi`]).
 //!
 //! The three primitives are generic over the job token `T` (a small
-//! `Copy` value): the single-run driver schedules bare
-//! [`crate::sched::JobRef`]s, the serving runtime tags each job with its
-//! graph instance. The synchronization protocols are identical in both —
-//! they are documented here once and relied on by both drivers.
+//! `Copy` value): the pool tags each [`crate::sched::JobRef`] with its
+//! graph instance. The synchronization protocols are documented here.
 //!
 //! All synchronization goes through [`crate::sync`]: under
 //! `--cfg hinch_model` these exact protocols run on the model checker
@@ -24,8 +20,8 @@ use std::mem::MaybeUninit;
 pub const LOCAL_CAP: usize = 256;
 
 /// A bounded single-producer multi-consumer ring (the owner pushes at the
-/// tail; the owner pops and thieves steal at the head, both oldest-first —
-/// matching the centralized engine's historical `pop_front` order).
+/// tail; the owner pops and thieves steal at the head, both oldest-first,
+/// so readied jobs run in the order they were published).
 ///
 /// `head` packs two `u32` indices: `steal` (the claim frontier — trails
 /// while a thief is mid-copy) and `real` (the consumption frontier). The
@@ -156,12 +152,12 @@ impl<T: Copy> LocalQueue<T> {
         }
     }
 
-    /// Whether the ring currently holds no jobs (approximate outside of
-    /// quiescent states; exact when no producer/thief is active — used by
-    /// the serving runtime's teardown checks).
-    pub fn is_empty(&self) -> bool {
+    /// Jobs currently in the ring (approximate outside of quiescent
+    /// states; exact when no producer/thief is active — used by the pool's
+    /// queue-depth telemetry and teardown checks).
+    pub fn len(&self) -> usize {
         let (_, real) = Self::unpack(self.head.load(Ordering::Acquire));
-        real == self.tail.load(Ordering::Acquire)
+        self.tail.load(Ordering::Acquire).wrapping_sub(real) as usize
     }
 }
 
@@ -295,7 +291,24 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert!(inj.pop().is_none());
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn local_queue_len_counts_jobs() {
+        let q = LocalQueue::new();
+        let inj = Injector::new();
+        for k in 1..=200u32 {
+            q.push(job(0, k), &inj);
+            assert_eq!(q.len(), k as usize);
+        }
+        assert!(q.pop().is_some());
+        assert_eq!(q.len(), 199);
+        assert!(q.steal().is_some());
+        assert_eq!(q.len(), 198);
+        while q.pop().is_some() {}
+        assert_eq!(q.len(), 0);
+        assert_eq!(inj.len(), 0, "200 jobs fit the local ring");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Hinch executes a hierarchical **Series-Parallel-Contention (SPC)** task
 //! graph of [`Component`]s in a data-flow style: every *iteration* of the
-//! application runs each node of the graph once, a central job queue hands
-//! ready jobs to workers (automatic load balancing), and several iterations
-//! are kept in flight concurrently (pipeline parallelism).
+//! application runs each node of the graph once, a pool of workers takes
+//! ready jobs from per-worker queues and steals from each other when one
+//! runs dry (automatic load balancing), and several iterations are kept
+//! in flight concurrently (pipeline parallelism).
 //!
 //! The graph supports the composition forms of the XSPCL coordination
 //! language (ICPP 2007):
@@ -24,12 +25,17 @@
 //! shared output buffer per iteration using [`sharedbuf::RegionBuf`], which
 //! checks at run time that concurrent writers lease *disjoint* regions.
 //!
-//! Two engines execute the same scheduler core:
+//! Two engines execute a graph:
 //!
-//! * [`engine::native`] — real worker threads, wall-clock time;
+//! * [`engine::multi`] — real worker threads, wall-clock time: the
+//!   long-lived pool behind both [`Runtime`] (many graphs, served) and
+//!   [`run_native`] (one graph, a fixed number of iterations);
 //! * [`engine::sim`] — deterministic discrete-event execution on a virtual
 //!   [`meter::Platform`] (e.g. the SpaceCAKE tile model in the `spacecake`
 //!   crate), which reports cycle counts for any number of virtual cores.
+//!
+//! [`engine::reference`] is the sequential oracle both are checked
+//! against.
 
 pub mod component;
 pub mod engine;

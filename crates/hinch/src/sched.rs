@@ -26,19 +26,22 @@ pub struct JobRef {
     pub idx: u32,
 }
 
-/// Tie-break policy for the central ready queue.
+/// Tie-break policy among ready jobs.
 ///
 /// Whenever more than one job is ready, every choice among them is a
 /// *valid* schedule — the tracker already enforces all dependencies. The
 /// policy only decides which valid schedule the engine walks, which is
 /// exactly the degree of freedom differential testing needs to explore:
 /// a schedule-independent application must produce byte-identical output
-/// under every variant, and each variant is fully deterministic (in the
-/// sim engine) so any divergence replays from `(spec, policy, config)`.
+/// under every variant. In the sim engine each variant is fully
+/// deterministic, so any divergence replays from `(spec, policy, config)`;
+/// the native worker pool orders each completion's readied jobs by
+/// [`SchedPolicy::key`] (and seeds its steal victims), biasing threaded
+/// runs without making them replayable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedPolicy {
-    /// The engines' historical order: oldest iteration first, LIFO within
-    /// an iteration (sim); plain queue order (native).
+    /// The engines' production order: oldest iteration first, LIFO within
+    /// an iteration (sim); direct handoff and work stealing (native).
     #[default]
     Default,
     /// Strictly first-ready-first-served.

@@ -311,11 +311,18 @@ fn native_report_profiles_nodes() {
     ]);
     // Native: structural output checks only — wall-clock bounds flake on
     // loaded CI machines; cycle accounting is asserted on the sim below.
-    let r = run_native(&g, &RunConfig::new(10).workers(2)).unwrap();
+    let r = run_native(&g, &RunConfig::new(10).workers(3)).unwrap();
     assert_eq!(r.per_node.len(), 3);
     assert_eq!(r.per_node["a"].0, 10);
     assert_eq!(r.per_node["b"].0, 10);
     assert_eq!(r.hottest_nodes().len(), 3);
+    // One busy/idle entry per worker.
+    assert_eq!(r.core_busy.len(), 3);
+    assert_eq!(r.core_idle.len(), 3);
+    // No manager in this graph: every job is a component job, and the
+    // per-node profile counts each one exactly once.
+    let profiled: u64 = r.per_node.values().map(|(jobs, _)| jobs).sum();
+    assert_eq!(profiled, r.jobs_executed);
     // Sim: the per-node cycle profile exactly partitions the busy cycles.
     let mut cfg = RunConfig::new(10);
     cfg.overhead.job_base = 7;

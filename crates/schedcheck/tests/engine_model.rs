@@ -211,6 +211,32 @@ fn runtime_two_rounds_restore_baseline() {
     .unwrap_or_else(|f| panic!("{f}"));
 }
 
+/// The retire hook wakes a blocked drain only once retirement reaches
+/// the drain's target, not on every frame. A drain entered while the
+/// last of two frames is still retiring must still return: the drain
+/// publishes its target before re-checking `completed`, the hook bumps
+/// `completed` before loading the target, so no wake-up is lost. A hook
+/// comparing off by one leaves the drain asleep after the last frame,
+/// which the explorer reports as a deadlock.
+#[test]
+fn drain_wakes_when_the_last_frame_retires() {
+    let _serial = runtime_lock();
+    let cfg = Config::default()
+        .iterations(env_iters(192).max(192))
+        .seed(0xD2A7);
+    schedcheck::explore(&cfg, || {
+        let rt = Runtime::new(RuntimeConfig::new(1));
+        let id = rt
+            .spawn(&nop_spec(), SpawnOpts::new("m").pipeline_depth(1))
+            .unwrap();
+        assert_eq!(rt.submit(id, 2).unwrap(), 2);
+        let stats = rt.drain(id).unwrap();
+        assert_eq!(stats.completed, 2);
+        rt.shutdown();
+    })
+    .unwrap_or_else(|f| panic!("{f}"));
+}
+
 /// Pinned PR-6 regression #1: `Runtime::submit` must use the unconditional
 /// external wake. With the fault armed, submit uses the worker-context
 /// spare-parallelism-throttled wake instead; a submit landing while the

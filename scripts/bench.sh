@@ -9,8 +9,8 @@
 # experiment at paper scale (gating the fused JPiP-1 L1-miss ratio at
 # <= 2.0x the sequential baseline), the `trace_overhead` and
 # `metrics_overhead` Criterion benches, one `hinch-insight` analysis, the
-# `throughput` bench (work-stealing vs centralized native engine, with a
-# jpip frames/sec floor), and
+# `throughput` bench (native engine jobs/sec and frames/sec across worker
+# counts, with a jpip frames/sec floor), and
 # the `hinch-serve bench` serving-runtime snapshot (open-loop fleet +
 # saturated multi-vs-solo probe + telemetry on/off overhead probe +
 # closed-loop SLO adaptation sweep), then folds the key numbers into
@@ -103,7 +103,7 @@ EOF
 
 echo "bench: wrote $out"
 
-echo "== bench: throughput (work-stealing vs centralized) =="
+echo "== bench: throughput (native engine) =="
 # Absolute path: cargo runs bench binaries with the package dir as cwd.
 THROUGHPUT_OUT="$PWD/BENCH_native.json" cargo bench --offline -q -p bench --bench throughput
 
@@ -112,11 +112,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
 micro = data["micro_jobs_per_sec"]
-s1, s8 = micro["workers_1"]["speedup"], micro["workers_8"]["speedup"]
-# The work-stealing engine must beat the single-lock engine 2x on the
-# glue micro-benchmark at 8 workers and not regress (>10%) uncontended.
-assert s8 >= 2.0, f"speedup at 8 workers: {s8}x < 2.0x"
-assert s1 >= 0.9, f"regression at 1 worker: {s1}x < 0.9x"
+j1, j8 = micro["workers_1"]["work_stealing"], micro["workers_8"]["work_stealing"]
 # JPiP frames/sec floor: the SIMD kernels + tile-granular fusion must
 # keep the 4-worker work-stealing jpip runs at >= 1.3x the pre-SIMD
 # baseline recorded on this machine (3480.1 fps, commit 66476bc). Both
@@ -131,7 +127,7 @@ for name in ("jpip1", "jpip1_fused"):
         f"{name} at 4 workers: {fps} fps < floor {jpip_floor:.0f}"
 j4 = apps["jpip1"]["workers_4"]["work_stealing"]
 jf4 = apps["jpip1_fused"]["workers_4"]["work_stealing"]
-print(f"{sys.argv[1]}: valid JSON; micro speedup {s1}x @1 worker, {s8}x @8 workers; "
+print(f"{sys.argv[1]}: valid JSON; micro {j1:.0f} jobs/s @1 worker, {j8:.0f} @8 workers; "
       f"jpip1 {j4:.0f} fps, fused {jf4:.0f} fps @4 workers (floor {jpip_floor:.0f})")
 EOF
 

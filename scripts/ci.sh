@@ -125,7 +125,7 @@ with open(sys.argv[1]) as f:
 micro = data["micro_jobs_per_sec"]
 for w in (1, 2, 4, 8):
     cell = micro[f"workers_{w}"]
-    assert cell["centralized"] > 0 and cell["work_stealing"] > 0, cell
+    assert cell["work_stealing"] > 0, cell
 for app in ("pip1", "blur3"):
     assert "workers_8" in data["apps_frames_per_sec"][app]
 print(f"{sys.argv[1]}: throughput bench completed, JSON sane")
