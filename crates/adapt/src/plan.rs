@@ -11,7 +11,7 @@
 //! analytically" workflow of the paper's front-end.
 
 use crate::policy::{CandidateConfig, Quality};
-use apps::experiment::{self, App, AppConfig, Scale};
+use apps::experiment::{self, App, AppConfig, Scale, Variant};
 use parking_lot::Mutex;
 use predict::{predict, CostDb, PredictConfig};
 use std::collections::HashMap;
@@ -261,13 +261,17 @@ fn rate_app_uncached(app: App, scale: Scale, lattice: &Lattice, cores: usize) ->
         let profile = profile_of(proxy, scale);
         let s_ref = experiment::default_slices(proxy, scale);
         for &s in &lattice.slices {
-            let built = experiment::build_isolated_sliced(
+            let built = experiment::build_variant(
                 AppConfig {
                     app: proxy,
                     scale,
                     frames: CAL_FRAMES,
                 },
-                Some(s),
+                Variant {
+                    slices: Some(s),
+                    isolated: true,
+                    ..Variant::default()
+                },
             );
             let db = scaled_db(&profile, s_ref, s);
             for &d in &lattice.depths {

@@ -51,14 +51,6 @@ impl BlurConfig {
         }
     }
 
-    /// The paper's Blur-35 (kernel switched every 12 frames, starting 3×3).
-    pub fn paper_reconfig() -> Self {
-        Self {
-            reconfig_every: Some(12),
-            ..Self::paper(3)
-        }
-    }
-
     /// A small configuration for tests.
     pub fn small(ksize: usize) -> Self {
         Self {

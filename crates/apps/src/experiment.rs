@@ -1,10 +1,17 @@
-//! One-call experiment runners for the benchmark harness and examples.
+//! Building and running the paper's applications, for the benchmark
+//! harness, the serving runtime and the examples.
 //!
-//! The paper's nine measured applications are enumerated by [`App`];
-//! [`run_sim`] executes one on a simulated SpaceCAKE tile with a given
-//! core count, [`sequential_cycles`] measures its hand-written sequential
-//! baseline on the same cache model, and [`AppConfig`] selects between the
-//! paper's full-size setup and a reduced one for quick runs.
+//! The paper's nine measured applications are enumerated by [`App`], and
+//! [`AppConfig`] selects between the paper's full-size setup and a
+//! reduced one for quick runs. As in the paper, where an application is
+//! one XSPCL document whose slice counts and reconfiguration options are
+//! parameters, every build goes through one entry, [`build_variant`]: a
+//! [`Variant`] sets the slice count, JPiP fusion, externally driven
+//! reconfiguration and whether the assets are private. [`build`] and
+//! [`build_isolated`] are its two common defaults. [`run_sim`] executes
+//! an app on a simulated SpaceCAKE tile with a given core count, and
+//! [`sequential_cycles`] measures its hand-written sequential baseline on
+//! the same cache model.
 //!
 //! Input videos are generated once per (app family, scale) and cached
 //! process-wide — the generation and JPEG encoding are by far the most
@@ -191,85 +198,85 @@ fn cached_assets(app: App, scale: Scale) -> Arc<AppAssets> {
     map.entry((app.family(), scale)).or_default().clone()
 }
 
-/// A built application, ready to run.
+/// A built application, ready to run. Its outputs land in the capture
+/// set `"out"`.
 pub struct Built {
     pub spec: hinch::GraphSpec,
     pub assets: Arc<AppAssets>,
     pub xml: String,
-    /// Name of the capture set holding the outputs.
-    pub capture: &'static str,
     /// Captured plane ports (3 for PiP/JPiP, 1 for Blur).
     pub capture_ports: usize,
 }
 
-/// Build `cfg.app` (reusing cached inputs).
-///
-/// The returned [`Built`] shares the process-wide asset cache, including
-/// its capture buffers — concurrent runs of the same family would clobber
-/// each other's outputs, so callers serialize (the conformance harness
-/// takes a run lock). For concurrent instances use [`build_isolated`].
+/// How to build an app beyond its [`AppConfig`]: the XSPCL document's
+/// parameters and where its assets live. The default is the paper's
+/// document on the shared asset cache.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Variant {
+    /// Data-parallel slice count; `None` keeps the scale's default
+    /// ([`default_slices`]). The adaptation controller respawns a graph
+    /// at a different parallelization this way.
+    pub slices: Option<usize>,
+    /// Tile-granular decode+IDCT fusion. JPiP apps only — fusion is the
+    /// JPiP cache-tax fix; other families have no decode/IDCT boundary to
+    /// fuse.
+    pub fused: bool,
+    /// Externally driven reconfiguration: the manager, options and event
+    /// rules of a reconfig app are wired exactly as usual, but the
+    /// in-graph injector's cadence is parked past any real run
+    /// ([`EXTERNAL_RECONFIG_CADENCE`]), so the only reconfigurations are
+    /// events delivered from outside (`Runtime::inject`). Static apps
+    /// build unchanged.
+    pub external_reconfig: bool,
+    /// Build on a *private* asset set: the expensive generated input
+    /// videos are adopted (refcount-only) from the process-wide cache, but
+    /// captures are fresh and unshared, so any number of isolated
+    /// instances can run concurrently — the serving runtime's mode.
+    /// Otherwise the build shares the cache's capture buffers (cleared
+    /// first): concurrent runs of the same family would clobber each
+    /// other's outputs, so callers serialize (the conformance harness
+    /// takes a run lock).
+    pub isolated: bool,
+}
+
+/// Build `cfg.app` on the shared asset cache (the default [`Variant`]).
 pub fn build(cfg: AppConfig) -> Built {
-    let assets = cached_assets(cfg.app, cfg.scale);
-    // Fresh capture contents per build/run.
-    assets.clear_captures();
-    build_with(cfg, assets)
+    build_variant(cfg, Variant::default())
 }
 
-/// Build `cfg.app` on a *private* asset set: the expensive generated
-/// input videos are adopted (refcount-only) from the process-wide cache,
-/// but captures are fresh and unshared, so any number of isolated
-/// instances can run concurrently — the serving runtime's mode.
+/// Build `cfg.app` on a private asset set ([`Variant::isolated`]).
 pub fn build_isolated(cfg: AppConfig) -> Built {
-    build_isolated_sliced(cfg, None)
+    build_variant(
+        cfg,
+        Variant {
+            isolated: true,
+            ..Variant::default()
+        },
+    )
 }
 
-/// [`build_isolated`] with the data-parallel slice count overridden
-/// (`None` keeps the scale's default). The adaptation controller uses
-/// this to respawn a graph at a different parallelization.
-pub fn build_isolated_sliced(cfg: AppConfig, slices: Option<usize>) -> Built {
-    isolated_assets_then(cfg, |assets| {
-        build_with_opts(cfg, assets, slices, false, false)
-    })
-}
-
-/// [`build_isolated`] with tile-granular decode+IDCT fusion enabled.
-/// JPiP apps only — fusion is the JPiP cache-tax fix; other families
-/// have no decode/IDCT boundary to fuse.
-pub fn build_isolated_fused(cfg: AppConfig) -> Built {
-    assert_eq!(
-        cfg.app.family(),
-        Family::Jpip,
-        "fusion applies to JPiP apps only"
-    );
-    isolated_assets_then(cfg, |assets| {
-        build_with_opts(cfg, assets, None, false, true)
-    })
-}
-
-/// [`build_isolated_sliced`] for *externally driven* reconfiguration: the
-/// manager, options and event rules of a reconfig app are wired exactly
-/// as usual, but the in-graph injector's cadence is parked past any real
-/// run, so the only reconfigurations are events delivered from outside
-/// (`Runtime::inject`). Static apps build unchanged.
-pub fn build_isolated_adaptive(cfg: AppConfig, slices: Option<usize>) -> Built {
-    isolated_assets_then(cfg, |assets| {
-        build_with_opts(cfg, assets, slices, true, false)
-    })
-}
-
-fn isolated_assets_then(cfg: AppConfig, f: impl FnOnce(Arc<AppAssets>) -> Built) -> Built {
+/// Build `cfg.app` as variant `v`, reusing cached inputs.
+pub fn build_variant(cfg: AppConfig, v: Variant) -> Built {
     let shared = cached_assets(cfg.app, cfg.scale);
-    // Warm the process-wide input cache once: generation/encoding is the
-    // expensive step; the discarded spec elaboration is cheap. Generation
-    // runs under the asset-map lock, so concurrent warms don't duplicate.
-    let _ = build_with(cfg, shared.clone());
-    let assets = AppAssets::new();
-    assets.adopt_inputs(&shared);
-    f(assets)
+    let assets = if v.isolated {
+        // Warm the process-wide input cache once: generation/encoding is
+        // the expensive step; the discarded spec elaboration is cheap.
+        // Generation runs under the asset-map lock, so concurrent warms
+        // don't duplicate.
+        let _ = build_on(cfg, Variant::default(), shared.clone());
+        let assets = AppAssets::new();
+        assets.adopt_inputs(&shared);
+        assets
+    } else {
+        // Fresh capture contents per build/run.
+        shared.clear_captures();
+        shared
+    };
+    build_on(cfg, v, assets)
 }
 
 /// Injector cadence that never fires within a real run (see
-/// [`build_isolated_adaptive`]).
+/// [`Variant::external_reconfig`]).
 pub const EXTERNAL_RECONFIG_CADENCE: u64 = u64::MAX / 2;
 
 /// How to reconfigure `app` from outside the graph: the manager queue,
@@ -312,167 +319,108 @@ pub fn reconfig_handle(app: App) -> Option<ReconfigHandle> {
     }
 }
 
-/// The scale's default data-parallel slice count for `cfg.app`'s family
+/// `app`'s family configuration at `scale`, before any [`Variant`]
+/// applies: pictures (PiP-1 one, the others two) or kernel size (Blur-5x5
+/// five, the others three). Reconfig apps start degraded and carry no
+/// cadence yet.
+enum FamilyConfig {
+    Pip(pip::PipConfig),
+    Jpip(jpip::JpipConfig),
+    Blur(blur::BlurConfig),
+}
+
+fn family_config(app: App, scale: Scale) -> FamilyConfig {
+    let paper = scale == Scale::Paper;
+    match app.family() {
+        Family::Pip => {
+            let pips = if app == App::Pip1 { 1 } else { 2 };
+            FamilyConfig::Pip(if paper {
+                pip::PipConfig::paper(pips)
+            } else {
+                pip::PipConfig::small(pips)
+            })
+        }
+        Family::Jpip => {
+            let pips = if app == App::Jpip1 { 1 } else { 2 };
+            FamilyConfig::Jpip(if paper {
+                jpip::JpipConfig::paper(pips)
+            } else {
+                jpip::JpipConfig::small(pips)
+            })
+        }
+        Family::Blur => {
+            let ksize = if app == App::Blur5 { 5 } else { 3 };
+            FamilyConfig::Blur(if paper {
+                blur::BlurConfig::paper(ksize)
+            } else {
+                blur::BlurConfig::small(ksize)
+            })
+        }
+    }
+}
+
+/// The scale's default data-parallel slice count for `app`'s family
 /// (the reference point for slice-resizing candidates).
 pub fn default_slices(app: App, scale: Scale) -> usize {
-    match (app.family(), scale) {
-        (Family::Pip, Scale::Paper) => pip::PipConfig::paper(1).slices,
-        (Family::Pip, Scale::Small) => pip::PipConfig::small(1).slices,
-        (Family::Jpip, Scale::Paper) => jpip::JpipConfig::paper(1).slices,
-        (Family::Jpip, Scale::Small) => jpip::JpipConfig::small(1).slices,
-        (Family::Blur, Scale::Paper) => blur::BlurConfig::paper(3).slices,
-        (Family::Blur, Scale::Small) => blur::BlurConfig::small(3).slices,
+    match family_config(app, scale) {
+        FamilyConfig::Pip(c) => c.slices,
+        FamilyConfig::Jpip(c) => c.slices,
+        FamilyConfig::Blur(c) => c.slices,
     }
 }
 
-/// Build `cfg.app` against a caller-provided asset set.
-pub fn build_with(cfg: AppConfig, assets: Arc<AppAssets>) -> Built {
-    build_with_sliced(cfg, assets, None)
-}
-
-/// [`build_with`] with an optional slice-count override.
-pub fn build_with_sliced(cfg: AppConfig, assets: Arc<AppAssets>, slices: Option<usize>) -> Built {
-    build_with_opts(cfg, assets, slices, false, false)
-}
-
-/// [`build_with`] with tile-granular decode+IDCT fusion (JPiP only).
-pub fn build_with_fused(cfg: AppConfig, assets: Arc<AppAssets>) -> Built {
-    assert_eq!(
-        cfg.app.family(),
-        Family::Jpip,
-        "fusion applies to JPiP apps only"
-    );
-    build_with_opts(cfg, assets, None, false, true)
-}
-
-/// Reconfig cadence: the paper's 12-frame stimulus, or parked for
-/// externally driven graphs.
-fn cadence(external: bool) -> Option<u64> {
-    Some(if external {
-        EXTERNAL_RECONFIG_CADENCE
-    } else {
-        12
-    })
-}
-
-fn build_with_opts(
-    cfg: AppConfig,
-    assets: Arc<AppAssets>,
-    slices: Option<usize>,
-    external: bool,
-    fuse: bool,
-) -> Built {
+/// Compile `cfg.app` as variant `v` against `assets` (`v.isolated` is
+/// [`build_variant`]'s business).
+fn build_on(cfg: AppConfig, v: Variant, assets: Arc<AppAssets>) -> Built {
     assert!(
-        !fuse || cfg.app.family() == Family::Jpip,
+        !v.fused || cfg.app.family() == Family::Jpip,
         "fusion applies to JPiP apps only"
     );
-    match cfg.app {
-        App::Pip1 | App::Pip2 | App::Pip12 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => pip::PipConfig::paper(if cfg.app == App::Pip1 { 1 } else { 2 }),
-                Scale::Small => pip::PipConfig::small(if cfg.app == App::Pip1 { 1 } else { 2 }),
-            };
-            if cfg.app == App::Pip12 {
-                c.reconfig_every = cadence(external);
-            }
-            if let Some(s) = slices {
-                c.slices = s;
-            }
+    // The paper's 12-frame stimulus, or parked for externally driven
+    // graphs.
+    let cadence = App::RECONFIG
+        .contains(&cfg.app)
+        .then_some(if v.external_reconfig {
+            EXTERNAL_RECONFIG_CADENCE
+        } else {
+            12
+        });
+    let (spec, assets, xml, capture_ports) = match family_config(cfg.app, cfg.scale) {
+        FamilyConfig::Pip(mut c) => {
+            c.reconfig_every = cadence;
+            c.slices = v.slices.unwrap_or(c.slices);
             let app = pip::build_on(&c, assets).expect("PiP compiles");
-            Built {
-                spec: app.elaborated.spec,
-                assets: app.assets,
-                xml: app.xml,
-                capture: "out",
-                capture_ports: 3,
-            }
+            (app.elaborated.spec, app.assets, app.xml, 3)
         }
-        App::Jpip1 | App::Jpip2 | App::Jpip12 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => jpip::JpipConfig::paper(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-                Scale::Small => jpip::JpipConfig::small(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-            };
-            if cfg.app == App::Jpip12 {
-                c.reconfig_every = cadence(external);
-            }
-            if let Some(s) = slices {
-                c.slices = s;
-            }
-            c.fuse = fuse;
+        FamilyConfig::Jpip(mut c) => {
+            c.reconfig_every = cadence;
+            c.slices = v.slices.unwrap_or(c.slices);
+            c.fuse = v.fused;
             let app = jpip::build_on(&c, assets).expect("JPiP compiles");
-            Built {
-                spec: app.elaborated.spec,
-                assets: app.assets,
-                xml: app.xml,
-                capture: "out",
-                capture_ports: 3,
-            }
+            (app.elaborated.spec, app.assets, app.xml, 3)
         }
-        App::Blur3 | App::Blur5 | App::Blur35 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => blur::BlurConfig::paper(if cfg.app == App::Blur5 { 5 } else { 3 }),
-                Scale::Small => blur::BlurConfig::small(if cfg.app == App::Blur5 { 5 } else { 3 }),
-            };
-            if cfg.app == App::Blur35 {
-                c.reconfig_every = cadence(external);
-            }
-            if let Some(s) = slices {
-                c.slices = s;
-            }
+        FamilyConfig::Blur(mut c) => {
+            c.reconfig_every = cadence;
+            c.slices = v.slices.unwrap_or(c.slices);
             let app = blur::build_on(&c, assets).expect("Blur compiles");
-            Built {
-                spec: app.elaborated.spec,
-                assets: app.assets,
-                xml: app.xml,
-                capture: "out",
-                capture_ports: 1,
-            }
+            (app.elaborated.spec, app.assets, app.xml, 1)
         }
+    };
+    Built {
+        spec,
+        assets,
+        xml,
+        capture_ports,
     }
-}
-
-/// [`build`] with tile-granular decode+IDCT fusion on the shared asset
-/// cache (JPiP only; callers serialize like [`build`]'s).
-pub fn build_fused(cfg: AppConfig) -> Built {
-    let assets = cached_assets(cfg.app, cfg.scale);
-    assets.clear_captures();
-    build_with_fused(cfg, assets)
 }
 
 /// Run `cfg.app` on a simulated tile with `cores` cores (the paper's
 /// measurement mode). Pipeline depth 5, as in §4.
 pub fn run_sim(cfg: AppConfig, cores: usize) -> SimReport {
-    sim_built(build(cfg), cfg.frames, cores)
-}
-
-/// [`run_sim`] with tile-granular decode+IDCT fusion (JPiP only) — the
-/// post-fusion Fig. 8 measurement.
-pub fn run_sim_fused(cfg: AppConfig, cores: usize) -> SimReport {
-    sim_built(build_fused(cfg), cfg.frames, cores)
-}
-
-fn sim_built(built: Built, frames: u64, cores: usize) -> SimReport {
-    let mut machine = Machine::new(TileConfig::with_cores(cores));
-    let run_cfg = RunConfig::new(frames).pipeline_depth(5);
-    hinch_run_sim(&built.spec, &run_cfg, &mut machine).expect("sim run")
-}
-
-/// Run `cfg.app` on native worker threads (wall-clock mode).
-pub fn run_threads(cfg: AppConfig, workers: usize) -> RunReport {
     let built = build(cfg);
-    let run_cfg = RunConfig::new(cfg.frames)
-        .pipeline_depth(5)
-        .workers(workers);
-    run_native(&built.spec, &run_cfg).expect("native run")
-}
-
-/// [`run_threads`] with tile-granular decode+IDCT fusion (JPiP only).
-pub fn run_threads_fused(cfg: AppConfig, workers: usize) -> RunReport {
-    let built = build_fused(cfg);
-    let run_cfg = RunConfig::new(cfg.frames)
-        .pipeline_depth(5)
-        .workers(workers);
-    run_native(&built.spec, &run_cfg).expect("native run")
+    let mut machine = Machine::new(TileConfig::with_cores(cores));
+    let run_cfg = RunConfig::new(cfg.frames).pipeline_depth(5);
+    hinch_run_sim(&built.spec, &run_cfg, &mut machine).expect("sim run")
 }
 
 /// Like [`run_sim`], but with a flight recorder attached: returns the
@@ -490,8 +438,8 @@ pub fn run_sim_traced(cfg: AppConfig, cores: usize) -> (SimReport, trace::Record
     (report, recorder)
 }
 
-/// Like [`run_threads`], but with a flight recorder attached (wall-clock
-/// nanoseconds).
+/// Run `cfg.app` on native worker threads (wall-clock mode) with a
+/// flight recorder attached (wall-clock nanoseconds).
 pub fn run_threads_traced(cfg: AppConfig, workers: usize) -> (RunReport, trace::Recorder) {
     let built = build(cfg);
     let recorder = trace::Recorder::new(trace::Clock::WallNanos);
@@ -517,44 +465,20 @@ pub fn sequential_cycles(cfg: AppConfig) -> u64 {
 /// Execute the sequential baseline of `cfg.app` against `assets`,
 /// charging `meter` (exposed for the benchmark harness).
 pub fn run_baseline(cfg: AppConfig, assets: &Arc<AppAssets>, meter: &mut dyn Meter) {
-    match cfg.app {
-        App::Pip1 | App::Pip2 | App::Pip12 => {
-            let mut c = match cfg.scale {
-                Scale::Paper => pip::PipConfig::paper(if cfg.app == App::Pip1 { 1 } else { 2 }),
-                Scale::Small => pip::PipConfig::small(if cfg.app == App::Pip1 { 1 } else { 2 }),
-            };
-            if cfg.app == App::Pip12 {
-                c.pips = 2;
-            }
+    match family_config(cfg.app, cfg.scale) {
+        FamilyConfig::Pip(c) => {
             let _ = pip::sequential(&c, assets, cfg.frames, meter);
         }
-        App::Jpip1 | App::Jpip2 | App::Jpip12 => {
-            let c = match cfg.scale {
-                Scale::Paper => jpip::JpipConfig::paper(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-                Scale::Small => jpip::JpipConfig::small(if cfg.app == App::Jpip1 { 1 } else { 2 }),
-            };
+        FamilyConfig::Jpip(c) => {
             let _ = jpip::sequential(&c, assets, cfg.frames, meter);
         }
-        App::Blur3 | App::Blur5 => {
-            let ksize = if cfg.app == App::Blur5 { 5 } else { 3 };
-            let c = match cfg.scale {
-                Scale::Paper => blur::BlurConfig::paper(ksize),
-                Scale::Small => blur::BlurConfig::small(ksize),
-            };
-            let _ = blur::sequential(&c, assets, cfg.frames, |_| ksize, meter);
+        FamilyConfig::Blur(c) if cfg.app == App::Blur35 => {
+            let schedule = |i| blur::baseline_ksize(i, 12, 3);
+            let _ = blur::sequential(&c, assets, cfg.frames, schedule, meter);
         }
-        App::Blur35 => {
-            let c = match cfg.scale {
-                Scale::Paper => blur::BlurConfig::paper(3),
-                Scale::Small => blur::BlurConfig::small(3),
-            };
-            let _ = blur::sequential(
-                &c,
-                assets,
-                cfg.frames,
-                |i| blur::baseline_ksize(i, 12, 3),
-                meter,
-            );
+        FamilyConfig::Blur(c) => {
+            let ksize = c.ksize;
+            let _ = blur::sequential(&c, assets, cfg.frames, |_| ksize, meter);
         }
     }
 }
@@ -594,6 +518,17 @@ mod tests {
                 app.label(),
                 r.reconfigs
             );
+            // Externally driven: the parked injector never fires.
+            let external = Variant {
+                external_reconfig: true,
+                ..Variant::default()
+            };
+            let built = build_variant(cfg, external);
+            let mut machine = Machine::new(TileConfig::with_cores(2));
+            let run_cfg = RunConfig::new(cfg.frames).pipeline_depth(5);
+            let r = hinch_run_sim(&built.spec, &run_cfg, &mut machine).unwrap();
+            assert_eq!(r.iterations, 30, "{} external", app.label());
+            assert_eq!(r.reconfigs, 0, "{} external", app.label());
         }
     }
 

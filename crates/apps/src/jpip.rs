@@ -66,14 +66,6 @@ impl JpipConfig {
         }
     }
 
-    /// The paper's JPiP-12 (second picture toggled every 12 frames).
-    pub fn paper_reconfig() -> Self {
-        Self {
-            reconfig_every: Some(12),
-            ..Self::paper(2)
-        }
-    }
-
     /// A small configuration for tests (dimensions must be multiples of 8).
     pub fn small(pips: usize) -> Self {
         Self {
@@ -88,12 +80,6 @@ impl JpipConfig {
             reconfig_every: None,
             fuse: false,
         }
-    }
-
-    /// Enable tile-granular decode+IDCT fusion.
-    pub fn fused(mut self) -> Self {
-        self.fuse = true;
-        self
     }
 
     pub fn position(&self, k: usize) -> (usize, usize) {
@@ -612,7 +598,11 @@ mod tests {
     fn fused_structure_replaces_decode_and_idct() {
         // fused: 2 sources, 6 per-field fused decodes, no separate
         // decode/IDCT stages; scalers/blenders/sink unchanged
-        let app = build(&JpipConfig::small(1).fused()).unwrap();
+        let app = build(&JpipConfig {
+            fuse: true,
+            ..JpipConfig::small(1)
+        })
+        .unwrap();
         let mut classes = std::collections::HashMap::new();
         app.elaborated.spec.visit_leaves(&mut |c| {
             *classes.entry(c.class.clone()).or_insert(0) += 1;
@@ -629,7 +619,10 @@ mod tests {
     #[test]
     fn fused_output_matches_sequential_baseline() {
         for pips in [1, 2] {
-            let cfg = JpipConfig::small(pips).fused();
+            let cfg = JpipConfig {
+                fuse: true,
+                ..JpipConfig::small(pips)
+            };
             let app = build(&cfg).unwrap();
             let frames = 4u64;
             run_native(&app.elaborated.spec, &RunConfig::new(frames).workers(3)).unwrap();
@@ -652,9 +645,9 @@ mod tests {
     fn fused_reconfigurable_variant_runs() {
         let cfg = JpipConfig {
             reconfig_every: Some(3),
+            fuse: true,
             ..JpipConfig::small(2)
-        }
-        .fused();
+        };
         let app = build(&cfg).unwrap();
         let report = run_native(&app.elaborated.spec, &RunConfig::new(9).workers(2)).unwrap();
         assert_eq!(report.iterations, 9);

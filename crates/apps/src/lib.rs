@@ -17,8 +17,10 @@
 //! | JPiP | 1280×720 MJPEG, 24 frames | fields task-parallel; IDCT, scaler, blender sliced ×45 | JPiP-12 |
 //! | Blur | 360×288 luminance, 96 frames | H/V phases crossdep ×9 | Blur-35: 3×3 ↔ 5×5 every 12 frames |
 //!
-//! [`experiment`] wraps everything into the one-call runners the
-//! benchmark harness and the examples use.
+//! [`experiment`] builds any app through one entry,
+//! `build_variant(cfg, variant)` (slice count, JPiP fusion, external
+//! reconfiguration, private assets), and runs it on the simulator or
+//! against its sequential baseline.
 
 pub mod blur;
 pub mod experiment;

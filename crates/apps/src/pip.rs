@@ -57,16 +57,6 @@ impl PipConfig {
         }
     }
 
-    /// The paper's PiP-12: starts with one picture, toggles the second
-    /// every 12 frames.
-    pub fn paper_reconfig() -> Self {
-        Self {
-            pips: 2,
-            reconfig_every: Some(12),
-            ..Self::paper(2)
-        }
-    }
-
     /// A small configuration for tests.
     pub fn small(pips: usize) -> Self {
         Self {

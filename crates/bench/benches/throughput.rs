@@ -15,7 +15,7 @@
 //! `BENCH_native.json`. `$THROUGHPUT_QUICK=1` shrinks the run for CI
 //! smoke testing. Human-readable progress goes to stderr.
 
-use apps::experiment::{build, build_fused, App, AppConfig};
+use apps::experiment::{build_variant, App, AppConfig, Variant};
 use hinch::component::{Component, Params, RunCtx};
 use hinch::engine::{run_native, RunConfig};
 use hinch::graph::factory;
@@ -125,7 +125,13 @@ fn main() {
     for (ai, &(app, name, fused)) in apps.iter().enumerate() {
         eprintln!("throughput: {name} (small, {frames} frames, best of {repeats})");
         let cfg = AppConfig::small(app).frames(frames);
-        let built = if fused { build_fused(cfg) } else { build(cfg) };
+        let built = build_variant(
+            cfg,
+            Variant {
+                fused,
+                ..Variant::default()
+            },
+        );
         let _ = writeln!(json, "        \"{name}\": {{");
         for (wi, &workers) in WORKERS.iter().enumerate() {
             let fw = frames_per_sec(&run_best(&built.spec, frames, workers, repeats));

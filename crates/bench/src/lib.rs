@@ -21,7 +21,8 @@
 //! proprietary simulator — the reproduction targets the qualitative
 //! shapes. `EXPERIMENTS.md` records paper-vs-measured values.
 
-use apps::experiment::{run_sim, sequential_cycles, App, AppConfig, Scale};
+use apps::experiment::{build_variant, run_sim, sequential_cycles, App, AppConfig, Scale, Variant};
+use hinch::engine::RunConfig;
 use hinch::meter::PlatformStats;
 
 /// One row of the Figure 8 comparison.
@@ -262,7 +263,17 @@ pub fn cache_comparison(app: App, scale: Scale, frames: u64) -> CacheComparison 
     };
     let xspcl = run_sim(cfg, 1).stats;
     let fused = match app {
-        App::Jpip1 | App::Jpip2 => Some(apps::experiment::run_sim_fused(cfg, 1).stats),
+        App::Jpip1 | App::Jpip2 => {
+            let fused = Variant {
+                fused: true,
+                ..Variant::default()
+            };
+            let built = build_variant(cfg, fused);
+            let mut machine = spacecake::Machine::new(spacecake::TileConfig::with_cores(1));
+            let run_cfg = RunConfig::new(cfg.frames).pipeline_depth(5);
+            let report = hinch::engine::run_sim(&built.spec, &run_cfg, &mut machine);
+            Some(report.expect("fused sim run").stats)
+        }
         _ => None,
     };
     // rerun the baseline on a fresh solo machine to get its stats

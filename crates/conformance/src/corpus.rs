@@ -21,7 +21,7 @@
 //! parallel.
 
 use crate::fingerprint::{digest_ports, spectrum_frame, Digest};
-use apps::experiment::{self, App, AppConfig};
+use apps::experiment::{self, App, AppConfig, Variant};
 use apps::{mosaic, telescope, AppAssets};
 use hinch::engine::{
     run_native as hinch_run_native, run_reference as hinch_run_reference, run_sim as hinch_run_sim,
@@ -196,7 +196,11 @@ fn build(app: ConfApp, frames: u64) -> (GraphSpec, Collector) {
             )
         }
         ConfApp::Fused(a) => {
-            let built = experiment::build_fused(AppConfig::small(a).frames(frames));
+            let fused = Variant {
+                fused: true,
+                ..Variant::default()
+            };
+            let built = experiment::build_variant(AppConfig::small(a).frames(frames), fused);
             let ports = built.capture_ports;
             (
                 built.spec,

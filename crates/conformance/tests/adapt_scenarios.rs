@@ -21,7 +21,7 @@
 //! `crates/adapt`), which makes these runs deterministic end to end.
 
 use adapt::{run_scenario, Action, Quality, ScenarioSpec};
-use apps::experiment::{build_isolated_adaptive, reconfig_handle, App, AppConfig, Built};
+use apps::experiment::{build_variant, reconfig_handle, App, AppConfig, Built, Variant};
 use conformance::corpus::{self, ConfApp, Ports};
 use conformance::matrix::check_admissible;
 use hinch::{Event, GraphId, Runtime, RuntimeConfig, SpawnOpts};
@@ -59,13 +59,18 @@ fn replay(spec: &ScenarioSpec, max_frames: u64) -> Replayed {
 
     let runtime = Runtime::new(RuntimeConfig::new(2));
     let spawn = |slices: usize, depth: usize| -> (Built, GraphId) {
-        let built = build_isolated_adaptive(
+        let built = build_variant(
             AppConfig {
                 app,
                 scale: spec.scale,
                 frames: 0,
             },
-            Some(slices),
+            Variant {
+                slices: Some(slices),
+                external_reconfig: true,
+                isolated: true,
+                ..Variant::default()
+            },
         );
         let id = runtime
             .spawn(
@@ -93,7 +98,7 @@ fn replay(spec: &ScenarioSpec, max_frames: u64) -> Replayed {
     };
     let collect = |built: &Built| -> Ports {
         (0..built.capture_ports)
-            .map(|p| built.assets.captured(built.capture, p))
+            .map(|p| built.assets.captured("out", p))
             .collect()
     };
 

@@ -177,7 +177,7 @@ proptest! {
                 );
             }
             let output: Vec<Vec<Vec<u8>>> = (0..built.capture_ports)
-                .map(|p| built.assets.captured(built.capture, p))
+                .map(|p| built.assets.captured("out", p))
                 .collect();
             prop_assert_eq!(
                 digest_ports(&output),

@@ -108,7 +108,6 @@ pub(super) struct AdmitState {
     pending_retires: Vec<u64>,
     version: u64,
     pub(super) reconfigs: u64,
-    quiesce_open: Option<Instant>,
 }
 
 /// Called under the admit lock after each in-order retirement, with the
@@ -140,7 +139,6 @@ pub(super) struct GraphCore {
     pub(super) admit: Mutex<AdmitState>,
     pub(super) inst: InstanceGraph,
     pub(super) trace: Option<Arc<dyn TraceSink>>,
-    pub(super) metrics: Option<Arc<trace::metrics::EngineMetrics>>,
     pub(super) epoch: Instant,
     retire_hook: Option<RetireHook>,
 }
@@ -159,7 +157,6 @@ impl GraphCore {
         depth: u64,
         total: u64,
         trace: Option<Arc<dyn TraceSink>>,
-        metrics: Option<Arc<trace::metrics::EngineMetrics>>,
         retire_hook: Option<RetireHook>,
     ) -> Self {
         let window = Arc::new(Window::new(dag, 0, depth as usize));
@@ -178,11 +175,9 @@ impl GraphCore {
                 pending_retires: Vec::new(),
                 version: 0,
                 reconfigs: 0,
-                quiesce_open: None,
             }),
             inst,
             trace,
-            metrics,
             epoch: Instant::now(),
             retire_hook,
         }
@@ -351,9 +346,6 @@ impl GraphCore {
             s.clear(iter);
         }
         self.completed.fetch_add(1, Ordering::SeqCst);
-        if let Some(m) = &self.metrics {
-            m.iterations.inc();
-        }
         if let Some(hook) = &self.retire_hook {
             hook(iter);
         }
@@ -381,12 +373,6 @@ impl GraphCore {
     /// resume as-is), install the new window, and re-open admission. Under
     /// the admit lock — this is the *only* place the window is replaced.
     fn quiesce_resume(&self, st: &mut AdmitState, seeded: &mut Vec<JobRef>) {
-        let open = st.quiesce_open.take();
-        if let Some(m) = &self.metrics {
-            m.quiesce_windows.inc();
-            m.quiesce_time
-                .add(open.map_or(0, |w| w.elapsed().as_nanos() as u64));
-        }
         let plans = std::mem::take(&mut st.pending);
         let start = self.admitted.load(Ordering::Relaxed);
         let (dag, applied) = if plans.is_empty() {
@@ -397,9 +383,6 @@ impl GraphCore {
             st.version += 1;
             let outcome = apply_plans(&self.inst, plans, st.version);
             st.reconfigs += outcome.applied;
-            if let Some(m) = &self.metrics {
-                m.reconfigs.add(outcome.applied);
-            }
             (outcome.dag, Some((outcome.applied, outcome.grafted)))
         };
         let window = Arc::new(Window::new(dag, start, self.depth as usize));
@@ -486,14 +469,7 @@ impl GraphCore {
                 let start = self.trace.as_ref().map(|_| self.now());
                 let mut st = self.admit.lock();
                 let (plan, cost) = exec_manager_entry(mgr, &self.inst.streams, &st.pending);
-                if let Some(m) = &self.metrics {
-                    m.event_polls.inc();
-                    m.events_drained.add(cost.events as u64);
-                }
                 let newly_halted = plan.is_some() && !self.halted.load(Ordering::SeqCst);
-                if newly_halted {
-                    st.quiesce_open = Some(Instant::now());
-                }
                 if let Some(sink) = &self.trace {
                     let end = self.now();
                     sink.record(TraceEvent::JobSpan {

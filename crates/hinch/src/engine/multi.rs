@@ -58,7 +58,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use trace::metrics::{EngineMetrics, GraphLabel, LabeledMetrics, LogHistogram};
+use trace::metrics::LogHistogram;
 use trace::ring::{Ring, RingEvent, RingSet};
 use trace::{StallCause, TraceEvent};
 
@@ -142,7 +142,7 @@ pub struct SpawnOpts {
     /// Maximum accepted-but-not-retired frames. [`Runtime::submit`]
     /// accepts at most the spare backlog — the backpressure bound.
     pub max_backlog: u64,
-    /// Human-readable tenant label (app name) for metrics attribution.
+    /// Human-readable tenant label (app name), reported in [`GraphStats`].
     pub label: String,
 }
 
@@ -281,7 +281,7 @@ impl std::fmt::Display for Failure {
 }
 
 /// `run_native`'s per-tenant state. Its tenant also records every park
-/// as a stall on its own trace sink and metrics registry.
+/// as a stall on its own trace sink.
 struct Solo {
     sched: SchedPolicy,
     /// Readiness sequence number fed to [`SchedPolicy::key`].
@@ -454,9 +454,6 @@ struct MultiShared {
     active: AtomicUsize,
     parallelism: usize,
     shutdown: AtomicBool,
-    /// Per-tenant metrics registry (graph id + app label), for
-    /// `hinch-insight`-style attribution.
-    labels: Arc<LabeledMetrics>,
     /// Common time base for flight-recorder timestamps and uptime.
     epoch: Instant,
     /// Always-on per-worker flight recorder (None when
@@ -510,7 +507,7 @@ fn classify_park(shared: &MultiShared, solo: &mut Vec<(StallCause, Arc<Tenant>)>
             continue;
         }
         let own = t.core.wait_cause();
-        if t.solo.is_some() {
+        if t.solo.is_some() && t.core.trace.is_some() {
             solo.push((own, Arc::clone(t)));
         }
         if rank(own) > rank(cause) {
@@ -663,9 +660,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                             end: start + idle,
                         });
                     }
-                    if let Some(m) = &t.core.metrics {
-                        m.on_stall(cause, idle);
-                    }
                 }
             }
         };
@@ -720,9 +714,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
         match result {
             Ok(retired) => {
                 let busy = started.elapsed().as_nanos() as u64;
-                if let Some(m) = &g.metrics {
-                    m.on_job(busy);
-                }
                 // Single writer (this worker): plain stores, no locked RMW.
                 ws.jobs
                     .store(ws.jobs.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
@@ -816,7 +807,6 @@ impl Runtime {
             active: AtomicUsize::new(workers),
             parallelism: workers.min(crate::sync::hardware_parallelism(workers)),
             shutdown: AtomicBool::new(false),
-            labels: Arc::new(LabeledMetrics::new()),
             epoch: Instant::now(),
             rings: (cfg.ring_capacity > 0)
                 .then(|| Arc::new(RingSet::new(workers, cfg.ring_capacity))),
@@ -857,8 +847,8 @@ impl Runtime {
     }
 
     /// [`Runtime::spawn`], or with `solo` set, `run_native`'s tenant: the
-    /// `RunConfig`'s trace sink and metrics registry replace the labeled
-    /// registry, and its schedule policy and a per-node profile ride along.
+    /// `RunConfig`'s trace sink, its schedule policy and a per-node
+    /// profile ride along.
     pub(super) fn spawn_tenant(
         &self,
         spec: &GraphSpec,
@@ -897,29 +887,13 @@ impl Runtime {
                 }
             })
         };
-        let (trace, metrics, solo) = match solo {
-            Some(cfg) => (
-                cfg.trace.clone(),
-                cfg.metrics.clone(),
-                Some(Solo {
-                    sched: cfg.sched,
-                    seq: AtomicU64::new(0),
-                    per_node: Mutex::new(HashMap::new()),
-                }),
-            ),
-            None => {
-                let metrics = Arc::new(EngineMetrics::new());
-                self.shared.labels.register(
-                    GraphLabel {
-                        graph_id: id as u64,
-                        app: opts.label.clone(),
-                    },
-                    Arc::clone(&metrics),
-                );
-                (None, Some(metrics), None)
-            }
-        };
-        let core = GraphCore::new(inst, dag, depth as u64, 0, trace, metrics, Some(hook));
+        let trace = solo.and_then(|cfg| cfg.trace.clone());
+        let solo = solo.map(|cfg| Solo {
+            sched: cfg.sched,
+            seq: AtomicU64::new(0),
+            per_node: Mutex::new(HashMap::new()),
+        });
+        let core = GraphCore::new(inst, dag, depth as u64, 0, trace, Some(hook));
         let tenant = Arc::new(Tenant {
             id,
             label: opts.label,
@@ -1094,7 +1068,6 @@ impl Runtime {
         // Teardown: unregister first so new submits/stats see a consistent
         // "gone" state, then verify resource release.
         self.shared.graphs.write().remove(&id.0);
-        self.shared.labels.unregister(id.0 as u64);
         let stats = tenant.stats();
         if let Some(msg) = stats.failure.clone() {
             return Err(ServeError::GraphFailed(msg));
@@ -1143,11 +1116,6 @@ impl Runtime {
 
     pub fn workers(&self) -> usize {
         self.shared.locals.len()
-    }
-
-    /// The per-tenant metrics registry (graph id + app label → counters).
-    pub fn labeled_metrics(&self) -> Arc<LabeledMetrics> {
-        Arc::clone(&self.shared.labels)
     }
 
     /// The per-worker flight recorder, when enabled
@@ -1430,7 +1398,6 @@ mod tests {
         }
         assert_eq!(rt.graph_count(), 0);
         assert_eq!(rt.queued_jobs(), 0);
-        assert!(rt.labeled_metrics().snapshot().is_empty());
         // Workers drop their tenant caches and park once the pool is dry.
         let deadline = Instant::now() + Duration::from_secs(5);
         while rt.idle_workers() < rt.workers() {

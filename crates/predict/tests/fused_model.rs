@@ -10,8 +10,17 @@
 //! would silently invert when fusion lands (a deadline that was feasible
 //! unfused would be reported infeasible fused).
 
-use apps::experiment::{self, App, AppConfig};
+use apps::experiment::{self, App, AppConfig, Variant};
+use hinch::engine::{run_sim, RunConfig};
 use predict::{predict, CostDb, PredictConfig};
+use spacecake::{Machine, TileConfig};
+
+const FUSED: Variant = Variant {
+    slices: None,
+    fused: true,
+    external_reconfig: false,
+    isolated: false,
+};
 
 #[test]
 fn fused_jpip_never_rates_more_expensive() {
@@ -19,12 +28,23 @@ fn fused_jpip_never_rates_more_expensive() {
     // Calibrate each variant from its own single-core simulation — the
     // paper's "measure once, explore analytically" workflow.
     let unfused_profile = experiment::run_sim(cfg, 1);
-    let fused_profile = experiment::run_sim_fused(cfg, 1);
+    let fused_profile = run_sim(
+        &experiment::build_variant(cfg, FUSED).spec,
+        &RunConfig::new(cfg.frames).pipeline_depth(5),
+        &mut Machine::new(TileConfig::with_cores(1)),
+    )
+    .expect("fused sim run");
     let db_unfused = CostDb::from_profile(&unfused_profile);
     let db_fused = CostDb::from_profile(&fused_profile);
 
     let unfused = experiment::build_isolated(cfg);
-    let fused = experiment::build_isolated_fused(cfg);
+    let fused = experiment::build_variant(
+        cfg,
+        Variant {
+            isolated: true,
+            ..FUSED
+        },
+    );
 
     let pcfg = PredictConfig::new(1, cfg.frames);
     let pu = predict(&unfused.spec, &db_unfused, &pcfg);
@@ -63,7 +83,13 @@ fn fused_class_rates_via_class_default_when_uncalibrated() {
     // sensibly through the class-default fallback — the planner path for
     // variants that exist only as candidates.
     let cfg = AppConfig::small(App::Jpip1).frames(4);
-    let fused = experiment::build_isolated_fused(cfg);
+    let fused = experiment::build_variant(
+        cfg,
+        Variant {
+            isolated: true,
+            ..FUSED
+        },
+    );
     let mut db = CostDb::new().with_default(10.0);
     db.set_class("jpeg_decode_idct", 50_000.0);
     let pcfg = PredictConfig::new(4, cfg.frames);

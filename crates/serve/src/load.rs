@@ -26,7 +26,7 @@
 
 use adapt::{run_scenario, Action, Quality, ScenarioReport, ScenarioSpec};
 use apps::experiment::{
-    build_isolated, build_isolated_adaptive, reconfig_handle, App, AppConfig, Built, Scale,
+    build_isolated, build_variant, reconfig_handle, App, AppConfig, Built, Scale, Variant,
 };
 use hinch::engine::{run_native, RunConfig, DEFAULT_RING_CAPACITY};
 use hinch::trace::metrics::{LogHistogram, LOG_BUCKETS};
@@ -132,17 +132,7 @@ fn merge_latencies(stats: &[GraphStats]) -> (f64, u64, u64) {
     if count == 0 {
         return (0.0, 0, 0);
     }
-    let quantile = |q: f64| -> u64 {
-        let rank = ((q * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, &c) in buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return LogHistogram::bucket_high(b);
-            }
-        }
-        LogHistogram::bucket_high(LOG_BUCKETS - 1)
-    };
+    let quantile = |q| LogHistogram::quantile_from_counts(&buckets, q);
     (weighted_sum / count as f64, quantile(0.5), quantile(0.99))
 }
 
@@ -488,7 +478,7 @@ fn fnv_u64(h: u64, v: u64) -> u64 {
 fn fold_outputs(mut h: u64, built: &Built) -> u64 {
     h = fnv_u64(h, built.capture_ports as u64);
     for p in 0..built.capture_ports {
-        let frames = built.assets.captured(built.capture, p);
+        let frames = built.assets.captured("out", p);
         h = fnv_u64(h, frames.len() as u64);
         for f in &frames {
             h = fnv_u64(h, f.len() as u64);
@@ -528,13 +518,18 @@ pub fn run_burst_replay(cfg: &ReplayConfig) -> ReplayReport {
 
     let runtime = Runtime::new(RuntimeConfig::new(cfg.workers));
     let spawn = |slices: usize, depth: usize| -> (Built, GraphId) {
-        let built = build_isolated_adaptive(
+        let built = build_variant(
             AppConfig {
                 app,
                 scale: cfg.scenario.scale,
                 frames: 0,
             },
-            Some(slices),
+            Variant {
+                slices: Some(slices),
+                external_reconfig: true,
+                isolated: true,
+                ..Variant::default()
+            },
         );
         let id = runtime
             .spawn(

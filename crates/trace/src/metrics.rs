@@ -1,42 +1,14 @@
-//! Always-on counter / histogram registry for the engines.
+//! Lock-free log-bucketed latency histogram.
 //!
-//! Full tracing ([`crate::Recorder`]) buffers every event and is opt-in
-//! per run. This module is the lightweight companion: an
-//! [`EngineMetrics`] registry that both engines bump with **one relaxed
-//! atomic per event** even when no trace sink is attached, so a
-//! production run always has utilization counters and latency
-//! histograms to report. A run without a registry pays one branch per
-//! would-be update, exactly like the disabled trace sink (see the
-//! `metrics_overhead` bench next to `trace_overhead`).
-//!
-//! Times are in the clock of the engine that updates the registry:
-//! virtual cycles under the simulation engine, wall-clock nanoseconds
-//! under the native engine.
+//! [`LogHistogram`] records one value with relaxed atomic adds and keeps
+//! no per-value storage, so it can sit on a hot path. The serving
+//! runtime times every frame with one (frame latency, `/metrics`);
+//! `insight::live` diffs two [`LogHistogram::bucket_counts`] snapshots to
+//! get windowed percentiles, and the load harness reports its
+//! quantiles. Values are in whatever unit the recorder chooses
+//! (nanoseconds everywhere today).
 
-use crate::StallCause;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing counter (relaxed atomics: totals are
-/// exact once the run has joined its workers; mid-run reads are
-/// approximate).
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of power-of-two buckets in a [`LogHistogram`]: bucket 0 holds
 /// value 0, bucket `b` holds values in `[2^(b-1), 2^b)`.
@@ -117,19 +89,7 @@ impl LogHistogram {
     /// [0, 1]); 0 when empty. HDR-style: at most one power of two above
     /// the true value.
     pub fn quantile(&self, q: f64) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= rank {
-                return Self::bucket_high(b);
-            }
-        }
-        Self::bucket_high(LOG_BUCKETS - 1)
+        Self::quantile_from_counts(&self.bucket_counts(), q)
     }
 
     /// `(bucket low, bucket high, count)` for every non-empty bucket.
@@ -213,182 +173,9 @@ impl std::fmt::Debug for LogHistogram {
     }
 }
 
-/// The always-on registry both engines update. Attach one via
-/// `RunConfig::metrics`; share it across runs to aggregate, or use a
-/// fresh one per run and read it afterwards.
-#[derive(Debug, Default)]
-pub struct EngineMetrics {
-    /// Jobs executed (components + manager invocations).
-    pub jobs: Counter,
-    /// Iterations retired.
-    pub iterations: Counter,
-    /// Reconfiguration batches applied.
-    pub reconfigs: Counter,
-    /// Quiesce (drain + resync) windows closed.
-    pub quiesce_windows: Counter,
-    /// Total time inside quiesce windows.
-    pub quiesce_time: Counter,
-    /// Manager event-queue polls.
-    pub event_polls: Counter,
-    /// Events drained by those polls.
-    pub events_drained: Counter,
-    /// Per-job duration histogram (cycles or nanoseconds).
-    pub job_time: LogHistogram,
-    /// Total stalled time per cause (indexed by [`StallCause::index`]).
-    pub stall_time: [Counter; StallCause::ALL.len()],
-    /// Stall intervals per cause.
-    pub stall_intervals: [Counter; StallCause::ALL.len()],
-}
-
-impl EngineMetrics {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one executed job of duration `time`.
-    #[inline]
-    pub fn on_job(&self, time: u64) {
-        self.jobs.inc();
-        self.job_time.record(time);
-    }
-
-    /// Record one idle interval.
-    #[inline]
-    pub fn on_stall(&self, cause: StallCause, time: u64) {
-        self.stall_time[cause.index()].add(time);
-        self.stall_intervals[cause.index()].inc();
-    }
-
-    /// Total stalled time across causes.
-    pub fn stalled_total(&self) -> u64 {
-        self.stall_time.iter().map(|c| c.get()).sum()
-    }
-
-    /// Multi-line human-readable dump; `unit` is e.g. `"cycles"` or
-    /// `"ns"` (see [`crate::Clock::unit`]).
-    pub fn render(&self, unit: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "== engine metrics ({unit}) ==");
-        let _ = writeln!(
-            out,
-            "jobs {}  iterations {}  reconfigs {}  event polls {} ({} events)",
-            self.jobs.get(),
-            self.iterations.get(),
-            self.reconfigs.get(),
-            self.event_polls.get(),
-            self.events_drained.get(),
-        );
-        let _ = writeln!(
-            out,
-            "job time: mean {:.1} {unit}  p50 <= {}  p99 <= {}  max <= {}",
-            self.job_time.mean(),
-            self.job_time.quantile(0.50),
-            self.job_time.quantile(0.99),
-            self.job_time.quantile(1.0),
-        );
-        let _ = writeln!(
-            out,
-            "quiesce: {} window(s), {} {unit}",
-            self.quiesce_windows.get(),
-            self.quiesce_time.get(),
-        );
-        for cause in StallCause::ALL {
-            let i = cause.index();
-            let _ = writeln!(
-                out,
-                "stall {:<13} {:>8} interval(s)  {:>14} {unit}",
-                cause.as_str(),
-                self.stall_intervals[i].get(),
-                self.stall_time[i].get(),
-            );
-        }
-        out
-    }
-}
-
-/// Identity of one graph instance in a multi-tenant runtime: numeric id
-/// plus the human-readable application name it was spawned with.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct GraphLabel {
-    pub graph_id: u64,
-    pub app: String,
-}
-
-/// Registry of per-graph-instance [`EngineMetrics`], keyed by
-/// [`GraphLabel`], so stall and throughput numbers can be attributed per
-/// tenant (hinch-insight reads this). Registration is cold-path only —
-/// the hot path stays the per-graph `EngineMetrics` relaxed atomics, so
-/// the disabled-path overhead of the engines is unchanged.
-///
-/// Uses `std::sync::Mutex` (this crate is dependency-free by design).
-#[derive(Debug, Default)]
-pub struct LabeledMetrics {
-    entries: std::sync::Mutex<Vec<(GraphLabel, std::sync::Arc<EngineMetrics>)>>,
-}
-
-impl LabeledMetrics {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a tenant's registry. A re-registration under the same
-    /// graph id replaces the previous entry.
-    pub fn register(&self, label: GraphLabel, metrics: std::sync::Arc<EngineMetrics>) {
-        let mut entries = self.entries.lock().unwrap();
-        entries.retain(|(l, _)| l.graph_id != label.graph_id);
-        entries.push((label, metrics));
-    }
-
-    /// Drop the entry for `graph_id` (graph drained / torn down).
-    pub fn unregister(&self, graph_id: u64) {
-        self.entries
-            .lock()
-            .unwrap()
-            .retain(|(l, _)| l.graph_id != graph_id);
-    }
-
-    /// Snapshot of the live entries, ordered by graph id.
-    pub fn snapshot(&self) -> Vec<(GraphLabel, std::sync::Arc<EngineMetrics>)> {
-        let mut all = self.entries.lock().unwrap().clone();
-        all.sort_by_key(|(l, _)| l.graph_id);
-        all
-    }
-
-    /// Per-tenant one-liners (jobs, iterations, stalled time) followed by
-    /// each tenant's full [`EngineMetrics::render`]; `unit` as there.
-    pub fn render(&self, unit: &str) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let snapshot = self.snapshot();
-        let _ = writeln!(out, "== per-graph metrics: {} tenant(s) ==", snapshot.len());
-        for (label, m) in &snapshot {
-            let _ = writeln!(
-                out,
-                "g{} [{}]: jobs {}  iterations {}  reconfigs {}  stalled {} {unit}",
-                label.graph_id,
-                label.app,
-                m.jobs.get(),
-                m.iterations.get(),
-                m.reconfigs.get(),
-                m.stalled_total(),
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_buckets_are_powers_of_two() {
@@ -467,87 +254,5 @@ mod tests {
         );
         // ... while the full histogram's p50 is still dominated by the 1s.
         assert_eq!(h.quantile(0.5), 1);
-    }
-
-    #[test]
-    fn registry_accumulates() {
-        let m = EngineMetrics::new();
-        m.on_job(10);
-        m.on_job(20);
-        m.on_stall(StallCause::Starvation, 5);
-        m.on_stall(StallCause::Quiesce, 7);
-        m.iterations.inc();
-        assert_eq!(m.jobs.get(), 2);
-        assert_eq!(m.job_time.sum(), 30);
-        assert_eq!(m.stalled_total(), 12);
-        assert_eq!(m.stall_time[StallCause::Starvation.index()].get(), 5);
-        let text = m.render("cycles");
-        assert!(text.contains("jobs 2"), "{text}");
-        assert!(text.contains("starvation"), "{text}");
-    }
-
-    #[test]
-    fn labeled_registry_attributes_per_graph() {
-        let reg = LabeledMetrics::new();
-        let a = std::sync::Arc::new(EngineMetrics::new());
-        let b = std::sync::Arc::new(EngineMetrics::new());
-        reg.register(
-            GraphLabel {
-                graph_id: 0,
-                app: "pip".into(),
-            },
-            a.clone(),
-        );
-        reg.register(
-            GraphLabel {
-                graph_id: 1,
-                app: "blur".into(),
-            },
-            b.clone(),
-        );
-        a.on_job(10);
-        b.on_job(20);
-        b.on_job(30);
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0.app, "pip");
-        assert_eq!(snap[0].1.jobs.get(), 1);
-        assert_eq!(snap[1].1.jobs.get(), 2);
-        let text = reg.render("ns");
-        assert!(text.contains("g1 [blur]: jobs 2"), "{text}");
-        reg.unregister(0);
-        assert_eq!(reg.snapshot().len(), 1);
-        // Same-id re-registration replaces.
-        reg.register(
-            GraphLabel {
-                graph_id: 1,
-                app: "blur2".into(),
-            },
-            std::sync::Arc::new(EngineMetrics::new()),
-        );
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].0.app, "blur2");
-        assert_eq!(snap[0].1.jobs.get(), 0);
-    }
-
-    #[test]
-    fn registry_is_shareable_across_threads() {
-        let m = std::sync::Arc::new(EngineMetrics::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = m.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1000 {
-                        m.on_job(i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.jobs.get(), 4000);
-        assert_eq!(m.job_time.count(), 4000);
     }
 }
