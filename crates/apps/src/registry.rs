@@ -59,10 +59,6 @@ impl AppAssets {
         self.raw.lock().insert(name.into(), video);
     }
 
-    pub fn add_mjpeg(&self, name: impl Into<String>, video: Arc<MjpegVideo>) {
-        self.mjpeg.lock().insert(name.into(), video);
-    }
-
     /// Insert the raw video only if absent (asset reuse across builds).
     pub fn ensure_raw(
         &self,

@@ -4,7 +4,7 @@
 //!
 //! 1. per-event micro-costs: the disabled path (an `Option` check), a
 //!    [`NullSink`] (event construction, then discard) and the real
-//!    [`Recorder`] (construction + shard push);
+//!    [`Recorder`] (construction + buffer push);
 //! 2. end-to-end: native PiP-1 with tracing disabled, with a `NullSink`
 //!    and with a `Recorder`, interleaved to cancel machine drift. The run
 //!    with tracing disabled must not be measurably slower than the

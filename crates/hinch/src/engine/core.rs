@@ -40,10 +40,9 @@ use crate::sched::JobRef;
 use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::cell::ModelCell;
 use crate::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use trace::{SpanKind, StallCause, TraceEvent, TraceSink};
+use std::time::Instant;
+use trace::{StallCause, TraceEvent, TraceSink};
 
 /// Per-admitted-iteration dependency state (one ring slot of a [`Window`]).
 pub(super) struct IterSlot {
@@ -138,8 +137,11 @@ pub(super) struct GraphCore {
     pub(super) depth: u64,
     pub(super) admit: Mutex<AdmitState>,
     pub(super) inst: InstanceGraph,
-    pub(super) trace: Option<Arc<dyn TraceSink>>,
-    pub(super) epoch: Instant,
+    /// Sink for this graph's scheduler events; the pool's workers record
+    /// its job spans and stalls.
+    trace: Option<Arc<dyn TraceSink>>,
+    /// The pool's epoch: scheduler events share the workers' time base.
+    epoch: Instant,
     retire_hook: Option<RetireHook>,
 }
 
@@ -157,6 +159,7 @@ impl GraphCore {
         depth: u64,
         total: u64,
         trace: Option<Arc<dyn TraceSink>>,
+        epoch: Instant,
         retire_hook: Option<RetireHook>,
     ) -> Self {
         let window = Arc::new(Window::new(dag, 0, depth as usize));
@@ -178,12 +181,12 @@ impl GraphCore {
             }),
             inst,
             trace,
-            epoch: Instant::now(),
+            epoch,
             retire_hook,
         }
     }
 
-    pub(super) fn now(&self) -> u64 {
+    fn now(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
@@ -411,84 +414,41 @@ impl GraphCore {
     }
 
     /// Run one job against its window and feed the completion back.
-    /// Returns `Some(iter)` when the job retired its iteration.
+    /// Returns `Some(iter)` when the job retired its iteration. The caller
+    /// times the job and records its span.
     pub(super) fn execute(
         &self,
         window: &Window,
         job: JobRef,
-        core: u32,
-        // The caller's per-job stopwatch, reused here so the hot component
-        // path pays one clock read (the `elapsed` below), not two.
-        started: Instant,
-        // Per-node tally, kept only when someone reads it (`run_native`).
-        per_node: Option<&mut HashMap<String, (u64, Duration)>>,
         ready: &mut Vec<JobRef>,
     ) -> Option<u64> {
         match &window.dag.jobs[job.idx as usize].kind {
             JobKind::Comp(leaf) => {
                 let mut meter = NullMeter;
                 let mut ctx = RunCtx::new(job.iter, &leaf.inputs, &leaf.outputs, &mut meter);
-                {
-                    let _node = crate::sharedbuf::enter_node_shared(leaf.tag.clone());
-                    // See `LeafRt::comp`: the self-dependency makes
-                    // contention here a scheduler bug, not a wait.
-                    leaf.comp
-                        .try_lock()
-                        .expect("per-node mutual exclusion violated (scheduler bug)")
-                        .run(&mut ctx);
-                }
-                let busy = started.elapsed();
-                if let Some(sink) = &self.trace {
-                    let end = self.now();
-                    sink.record(TraceEvent::JobSpan {
-                        label: leaf.name.clone(),
-                        kind: SpanKind::Component,
-                        iter: job.iter,
-                        core,
-                        start: end.saturating_sub(busy.as_nanos() as u64),
-                        end,
-                        cycles: 0,
-                        cache: None,
-                    });
-                }
-                if let Some(per_node) = per_node {
-                    match per_node.get_mut(&leaf.name) {
-                        Some(e) => {
-                            e.0 += 1;
-                            e.1 += busy;
-                        }
-                        None => {
-                            per_node.insert(leaf.name.clone(), (1, busy));
-                        }
-                    }
-                }
+                let _node = crate::sharedbuf::enter_node_shared(leaf.tag.clone());
+                // See `LeafRt::comp`: the self-dependency makes
+                // contention here a scheduler bug, not a wait.
+                leaf.comp
+                    .try_lock()
+                    .expect("per-node mutual exclusion violated (scheduler bug)")
+                    .run(&mut ctx);
             }
             JobKind::MgrEntry(mgr) => {
                 // Manager machinery stays centralized: one admit-lock hold
                 // per manager per iteration, consulting/extending plans.
-                let start = self.trace.as_ref().map(|_| self.now());
                 let mut st = self.admit.lock();
                 let (plan, cost) = exec_manager_entry(mgr, &self.inst.streams, &st.pending);
                 let newly_halted = plan.is_some() && !self.halted.load(Ordering::SeqCst);
                 if let Some(sink) = &self.trace {
-                    let end = self.now();
-                    sink.record(TraceEvent::JobSpan {
-                        label: format!("{}.entry", mgr.name),
-                        kind: SpanKind::ManagerEntry,
-                        iter: job.iter,
-                        core,
-                        start: start.unwrap_or(end),
-                        end,
-                        cycles: 0,
-                        cache: None,
-                    });
+                    let at = self.now();
                     sink.record(TraceEvent::EventPoll {
                         manager: mgr.name.clone(),
                         events: cost.events as u64,
-                        at: end,
+                        at,
                     });
                     if newly_halted {
-                        sink.record(TraceEvent::QuiesceBegin { at: end });
+                        sink.record(TraceEvent::QuiesceBegin { at });
                     }
                 }
                 if let Some(plan) = plan {
@@ -496,22 +456,8 @@ impl GraphCore {
                     self.halted.store(true, Ordering::SeqCst);
                 }
             }
-            JobKind::MgrExit(mgr) => {
-                // Synchronization point only.
-                if let Some(sink) = &self.trace {
-                    let now = self.now();
-                    sink.record(TraceEvent::JobSpan {
-                        label: format!("{}.exit", mgr.name),
-                        kind: SpanKind::ManagerExit,
-                        iter: job.iter,
-                        core,
-                        start: now,
-                        end: now,
-                        cycles: 0,
-                        cache: None,
-                    });
-                }
-            }
+            // Synchronization point only.
+            JobKind::MgrExit(_) => {}
         }
         self.complete(window, job, ready)
     }

@@ -40,11 +40,15 @@
 //!   [`SchedPolicy::key`] and publishes them all (no direct handoff);
 //!   `Shuffle`/`Perturb` also start the steal sweep at a seeded victim.
 //!   The conformance matrices thereby push this same scheduler into
-//!   different corners of the schedule space.
+//!   different corners of the schedule space;
+//! * **one recording point** — `worker_loop` times each job and each park
+//!   once. That one measurement feeds the worker's counters, the
+//!   flight-recorder ring and, under `run_native` with a trace sink, the
+//!   `JobSpan` or `CoreStall` event. Ring and trace share the pool's
+//!   epoch. A park is classified only when a ring or a sink records it.
 
 use super::core::{GraphCore, RetireHook, Window};
 use super::pool::{EventCount, Injector, LocalQueue};
-use super::RunConfig;
 use crate::event::Event;
 use crate::graph::flatten::flatten;
 use crate::graph::instance::instantiate_graph_sized;
@@ -57,10 +61,10 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use trace::metrics::LogHistogram;
 use trace::ring::{Ring, RingEvent, RingSet};
-use trace::{StallCause, TraceEvent};
+use trace::{StallCause, TraceEvent, TraceSink};
 
 /// Handle to a spawned graph instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -280,15 +284,11 @@ impl std::fmt::Display for Failure {
     }
 }
 
-/// `run_native`'s per-tenant state. Its tenant also records every park
-/// as a stall on its own trace sink.
+/// `run_native`'s per-tenant state: the policy that orders its schedule.
 struct Solo {
     sched: SchedPolicy,
     /// Readiness sequence number fed to [`SchedPolicy::key`].
     seq: AtomicU64,
-    /// Per-node (jobs, busy time). Workers tally locally and fold their
-    /// tallies in on tenant switch, before parking and at exit.
-    per_node: Mutex<HashMap<String, (u64, Duration)>>,
 }
 
 impl Solo {
@@ -334,26 +334,6 @@ impl Tenant {
 
     pub(super) fn failure(&self) -> Option<Failure> {
         self.failure.lock().clone()
-    }
-
-    /// `run_native`'s per-node profile (empty for a served tenant).
-    pub(super) fn take_profile(&self) -> HashMap<String, (u64, Duration)> {
-        self.solo
-            .as_ref()
-            .map(|s| std::mem::take(&mut *s.per_node.lock()))
-            .unwrap_or_default()
-    }
-
-    /// Fold a worker's per-node tally into `run_native`'s profile.
-    fn absorb(&self, per_node: &mut HashMap<String, (u64, Duration)>) {
-        if let (Some(solo), false) = (&self.solo, per_node.is_empty()) {
-            let mut profile = solo.per_node.lock();
-            for (name, (n, d)) in per_node.drain() {
-                let e = profile.entry(name).or_default();
-                e.0 += n;
-                e.1 += d;
-            }
-        }
     }
 
     fn stats(&self) -> GraphStats {
@@ -459,6 +439,9 @@ struct MultiShared {
     /// Always-on per-worker flight recorder (None when
     /// [`RuntimeConfig::ring_capacity`] is 0).
     rings: Option<Arc<RingSet>>,
+    /// `run_native`'s trace sink: the workers' job spans and stalls, and
+    /// its one tenant's scheduler events. None for a serving pool.
+    trace: Option<Arc<dyn TraceSink>>,
     /// Per-worker busy/idle/steal/park counters (one slot per worker).
     wstats: Box<[WorkerStats]>,
 }
@@ -489,32 +472,26 @@ fn ring_record(ev: impl FnOnce() -> RingEvent) {
 }
 
 /// Classify why a worker is about to park, from the tenants' admission
-/// state (cold path — runs once per park, right before the sleep).
-/// Quiesce dominates (a reconfiguration is in flight), then
+/// state (cold path — runs once per recorded park, right before the
+/// sleep). Quiesce dominates (a reconfiguration is in flight), then
 /// backpressure, then starvation; a pool with no unfinished work parks
-/// as queue-empty. `run_native`'s tenant, which records the park as a
-/// stall of its own, is pushed into `solo` with its own classification.
-fn classify_park(shared: &MultiShared, solo: &mut Vec<(StallCause, Arc<Tenant>)>) -> StallCause {
-    let rank = |c| match c {
+/// as queue-empty. With one tenant (`run_native`) this is that tenant's
+/// own cause.
+fn classify_park(shared: &MultiShared) -> StallCause {
+    let rank = |c: StallCause| match c {
         StallCause::Quiesce => 3,
         StallCause::Backpressure => 2,
         StallCause::Starvation => 1,
         StallCause::JobQueueEmpty => 0,
     };
-    let mut cause = StallCause::JobQueueEmpty;
-    for t in shared.graphs.read().values() {
-        if t.core.aborted.load(Ordering::Relaxed) {
-            continue;
-        }
-        let own = t.core.wait_cause();
-        if t.solo.is_some() && t.core.trace.is_some() {
-            solo.push((own, Arc::clone(t)));
-        }
-        if rank(own) > rank(cause) {
-            cause = own;
-        }
-    }
-    cause
+    shared
+        .graphs
+        .read()
+        .values()
+        .filter(|t| !t.core.aborted.load(Ordering::Relaxed))
+        .map(|t| t.core.wait_cause())
+        .max_by_key(|&c| rank(c))
+        .unwrap_or(StallCause::JobQueueEmpty)
 }
 
 impl MultiShared {
@@ -588,12 +565,10 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
     if let Some(r) = &ring {
         WORKER_RING.with(|cell| *cell.borrow_mut() = Some(Arc::clone(r)));
     }
-    // Per-node tally for `run_native`'s tenant (empty otherwise), folded
-    // into the tenant whenever the cache below lets go of it.
-    let mut per_node: HashMap<String, (u64, Duration)> = HashMap::new();
+    // Whether jobs and parks leave events (the counters are always kept).
+    let recorded = ring.is_some() || shared.trace.is_some();
     let mut ready: Vec<JobRef> = Vec::new();
     let mut seeded: Vec<JobRef> = Vec::new();
-    let mut solo_stalls: Vec<(StallCause, Arc<Tenant>)> = Vec::new();
     // Per-worker caches, borrowed per job and dropped before parking so
     // an idle pool holds no served tenant's references (deterministic
     // teardown — see `Runtime::drain`).
@@ -610,9 +585,6 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                     break mj;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
-                    if let Some((_, t)) = &tcache {
-                        t.absorb(&mut per_node);
-                    }
                     return;
                 }
                 // Park: register interest, re-check everything, sleep.
@@ -620,18 +592,15 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                 if let Some(mj) = find_work(shared, wid as usize, &mut sweep) {
                     break mj;
                 }
-                if let Some((_, t)) = tcache.take() {
-                    t.absorb(&mut per_node);
-                }
+                tcache = None;
                 wcache = None;
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 // Telemetry: classify the stall *at park time* (the
                 // tenants' admission state explains why there is no
-                // work), time the sleep, and record it on this worker's
-                // ring when it ends.
-                let cause = classify_park(shared, &mut solo_stalls);
+                // work), time the sleep, and record it when it ends.
+                let cause = recorded.then(|| classify_park(shared));
                 let parked = Instant::now();
                 let parked_ns = parked.duration_since(shared.epoch).as_nanos() as u64;
                 ws.parked_at.store(parked_ns + 1, Ordering::SeqCst);
@@ -642,31 +611,29 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                 ws.parked_at.store(0, Ordering::SeqCst);
                 ws.idle_ns.fetch_add(idle, Ordering::SeqCst);
                 ws.parks.fetch_add(1, Ordering::Relaxed);
-                if let Some(r) = &ring {
-                    r.record(RingEvent::Stall {
-                        worker: wid,
-                        cause,
-                        start: parked_ns,
-                        end: parked_ns + idle,
-                    });
-                }
-                for (cause, t) in solo_stalls.drain(..) {
-                    if let Some(sink) = &t.core.trace {
-                        let start = parked.duration_since(t.core.epoch).as_nanos() as u64;
+                if let Some(cause) = cause {
+                    let (start, end) = (parked_ns, parked_ns + idle);
+                    if let Some(r) = &ring {
+                        r.record(RingEvent::Stall {
+                            worker: wid,
+                            cause,
+                            start,
+                            end,
+                        });
+                    }
+                    if let Some(sink) = &shared.trace {
                         sink.record(TraceEvent::CoreStall {
                             core: wid,
                             cause,
                             start,
-                            end: start + idle,
+                            end,
                         });
                     }
                 }
             }
         };
         if tcache.as_ref().map(|(id, _)| *id) != Some(mj.graph) {
-            if let Some((_, t)) = tcache.take() {
-                t.absorb(&mut per_node);
-            }
+            tcache = None;
             wcache = None;
             match shared.graphs.read().get(&mj.graph) {
                 Some(t) => {
@@ -700,17 +667,14 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
         let Some((_, window)) = &wcache else {
             unreachable!("window cached above")
         };
-        let profiled = tenant.solo.is_some();
         // `run_native` under a seeded policy.
         let perturb = tenant
             .solo
             .as_ref()
             .filter(|s| s.sched != SchedPolicy::Default);
         let started = Instant::now();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let profile = profiled.then_some(&mut per_node);
-            g.execute(window, mj.job, wid, started, profile, &mut ready)
-        }));
+        let result =
+            std::panic::catch_unwind(AssertUnwindSafe(|| g.execute(window, mj.job, &mut ready)));
         match result {
             Ok(retired) => {
                 let busy = started.elapsed().as_nanos() as u64;
@@ -719,14 +683,30 @@ fn worker_loop(shared: &MultiShared, wid: u32) {
                     .store(ws.jobs.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
                 let busy_ns = ws.busy_ns.load(Ordering::Relaxed) + busy;
                 ws.busy_ns.store(busy_ns, Ordering::Relaxed);
-                if let Some(r) = &ring {
+                if recorded {
                     let start = started.duration_since(shared.epoch).as_nanos() as u64;
-                    r.record(RingEvent::Job {
-                        graph: mj.graph,
-                        node: mj.job.idx,
-                        start,
-                        end: start + busy,
-                    });
+                    let end = start + busy;
+                    if let Some(r) = &ring {
+                        r.record(RingEvent::Job {
+                            graph: mj.graph,
+                            node: mj.job.idx,
+                            start,
+                            end,
+                        });
+                    }
+                    if let Some(sink) = &shared.trace {
+                        let kind = &window.dag.jobs[mj.job.idx as usize].kind;
+                        sink.record(TraceEvent::JobSpan {
+                            label: kind.label(),
+                            kind: kind.span_kind(),
+                            iter: mj.job.iter,
+                            core: wid,
+                            start,
+                            end,
+                            cycles: 0,
+                            cache: None,
+                        });
+                    }
                 }
                 match perturb {
                     // Perturbed schedule: publish every readied job in
@@ -789,15 +769,16 @@ impl Runtime {
     /// Start a pool of `cfg.workers` threads. The pool idles (parked, no
     /// CPU) until the first submission.
     pub fn new(cfg: RuntimeConfig) -> Self {
-        let rt = Self::unstarted(cfg);
+        let rt = Self::unstarted(cfg, None);
         rt.start();
         rt
     }
 
-    /// A pool whose workers are not spawned yet. `run_native` queues its
-    /// run first and then starts the workers into it, the way a fresh run
-    /// begins, instead of waking a pool parked in advance.
-    pub(super) fn unstarted(cfg: RuntimeConfig) -> Self {
+    /// A pool whose workers are not spawned yet, recording into `trace`
+    /// if given. `run_native` queues its run first and then starts the
+    /// workers into it, the way a fresh run begins, instead of waking a
+    /// pool parked in advance.
+    pub(super) fn unstarted(cfg: RuntimeConfig, trace: Option<Arc<dyn TraceSink>>) -> Self {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(MultiShared {
             graphs: RwLock::new(HashMap::new()),
@@ -810,6 +791,7 @@ impl Runtime {
             epoch: Instant::now(),
             rings: (cfg.ring_capacity > 0)
                 .then(|| Arc::new(RingSet::new(workers, cfg.ring_capacity))),
+            trace,
             wstats: (0..workers).map(|_| WorkerStats::default()).collect(),
         });
         Self {
@@ -846,14 +828,13 @@ impl Runtime {
         self.spawn_tenant(spec, opts, None)
     }
 
-    /// [`Runtime::spawn`], or with `solo` set, `run_native`'s tenant: the
-    /// `RunConfig`'s trace sink, its schedule policy and a per-node
-    /// profile ride along.
+    /// [`Runtime::spawn`], or with `solo` set, `run_native`'s tenant
+    /// under that schedule policy.
     pub(super) fn spawn_tenant(
         &self,
         spec: &GraphSpec,
         opts: SpawnOpts,
-        solo: Option<&RunConfig>,
+        solo: Option<SchedPolicy>,
     ) -> Result<GraphId, ServeError> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
@@ -887,13 +868,13 @@ impl Runtime {
                 }
             })
         };
-        let trace = solo.and_then(|cfg| cfg.trace.clone());
-        let solo = solo.map(|cfg| Solo {
-            sched: cfg.sched,
+        let solo = solo.map(|sched| Solo {
+            sched,
             seq: AtomicU64::new(0),
-            per_node: Mutex::new(HashMap::new()),
         });
-        let core = GraphCore::new(inst, dag, depth as u64, 0, trace, Some(hook));
+        let trace = self.shared.trace.clone();
+        let epoch = self.shared.epoch;
+        let core = GraphCore::new(inst, dag, depth as u64, 0, trace, epoch, Some(hook));
         let tenant = Arc::new(Tenant {
             id,
             label: opts.label,
@@ -1175,6 +1156,7 @@ mod tests {
     use crate::graph::testutil::leaf;
     use crate::graph::{GraphSpec, ManagerSpec};
     use crate::manager::EventAction;
+    use std::time::Duration;
 
     fn pipeline_spec() -> GraphSpec {
         GraphSpec::seq(vec![

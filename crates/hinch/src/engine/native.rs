@@ -3,10 +3,12 @@
 //!
 //! A thin front over the worker pool in [`super::multi`] — the same
 //! scheduler the serving runtime runs. It builds a pool of
-//! `cfg.workers` threads (flight recorder off: nothing here reads it),
-//! spawns the graph as the pool's one tenant with a backlog of every
-//! iteration, submits them all, starts the workers, drains, and folds
-//! the run window into a [`RunReport`].
+//! `cfg.workers` threads (flight recorder off: nothing here reads it)
+//! that records into `cfg.trace`, spawns the graph as the pool's one
+//! tenant with a backlog of every iteration, submits them all, starts
+//! the workers, drains, and folds the workers' busy and idle counters
+//! into a [`RunReport`]. Per-node times come from the trace's job spans,
+//! which the pool times with the same measurement as the busy counters.
 
 use super::multi::{Failure, Runtime, RuntimeConfig, SpawnOpts};
 use super::RunConfig;
@@ -23,12 +25,15 @@ use std::time::{Duration, Instant};
 pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchError> {
     spec.validate()?;
     cfg.validate()?;
-    let rt = Runtime::unstarted(RuntimeConfig::new(cfg.workers).ring_capacity(0));
+    let rt = Runtime::unstarted(
+        RuntimeConfig::new(cfg.workers).ring_capacity(0),
+        cfg.trace.clone(),
+    );
     let opts = SpawnOpts::new("run_native")
         .pipeline_depth(cfg.pipeline_depth)
         .max_backlog(cfg.iterations);
     let id = rt
-        .spawn_tenant(spec, opts, Some(cfg))
+        .spawn_tenant(spec, opts, Some(cfg.sched))
         .expect("a fresh pool accepts a tenant");
     let tenant = rt.get(id).expect("tenant just spawned");
 
@@ -40,8 +45,8 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
     // Idle time up to the drain: the parks after it are not the run's.
     let idle = rt.worker_times().into_iter().map(|(_, idle)| idle);
     let core_idle = idle.map(Duration::from_nanos).collect();
-    // Joining the workers makes their last busy-time bumps and per-node
-    // tallies visible; no job runs after the drain.
+    // Joining the workers makes their last busy-time bumps visible; no
+    // job runs after the drain.
     rt.shutdown();
     let busy = rt.worker_times().into_iter().map(|(busy, _)| busy);
 
@@ -62,7 +67,6 @@ pub fn run_native(spec: &GraphSpec, cfg: &RunConfig) -> Result<RunReport, HinchE
         jobs_executed: stats.jobs_executed,
         reconfigs: stats.reconfigs,
         workers: cfg.workers,
-        per_node: tenant.take_profile(),
         core_busy: busy.map(Duration::from_nanos).collect(),
         core_idle,
     })

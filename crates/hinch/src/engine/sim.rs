@@ -26,7 +26,7 @@ use crate::sched::{Effect, JobRef, Tracker};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use trace::{CacheDelta, SpanKind, StallCause, TraceEvent};
+use trace::{CacheDelta, StallCause, TraceEvent};
 
 /// A ready job awaiting a free core. Priority under the default policy:
 /// the *oldest iteration* first (bounding latency, keeping one
@@ -203,11 +203,7 @@ pub fn run_sim(
                             .delta_since(&stats_before.unwrap_or_default());
                         sink.record(TraceEvent::JobSpan {
                             label: kind.label(),
-                            kind: match kind {
-                                JobKind::Comp(_) => SpanKind::Component,
-                                JobKind::MgrEntry(_) => SpanKind::ManagerEntry,
-                                JobKind::MgrExit(_) => SpanKind::ManagerExit,
-                            },
+                            kind: kind.span_kind(),
                             iter: t.job.iter,
                             core: core as u32,
                             start,

@@ -49,6 +49,15 @@ impl JobKind {
             JobKind::MgrExit(m) => format!("{}.exit", m.name),
         }
     }
+
+    /// The trace span kind of this job.
+    pub fn span_kind(&self) -> trace::SpanKind {
+        match self {
+            JobKind::Comp(_) => trace::SpanKind::Component,
+            JobKind::MgrEntry(_) => trace::SpanKind::ManagerEntry,
+            JobKind::MgrExit(_) => trace::SpanKind::ManagerExit,
+        }
+    }
 }
 
 /// One job in the per-iteration DAG.

@@ -47,10 +47,6 @@ impl StreamMap {
 
 pub type StreamTable = Arc<StreamMap>;
 
-pub fn new_stream_table() -> StreamTable {
-    new_stream_table_sized(crate::stream::DEFAULT_CAPACITY)
-}
-
 /// A stream table whose streams hold `slot_capacity` ring slots each.
 pub fn new_stream_table_sized(slot_capacity: usize) -> StreamTable {
     Arc::new(StreamMap {

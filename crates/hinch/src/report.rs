@@ -17,9 +17,8 @@ pub struct RunReport {
     pub reconfigs: u64,
     /// Worker threads used.
     pub workers: usize,
-    /// Wall-clock time per graph node (instance label → (jobs, busy)).
-    pub per_node: HashMap<String, (u64, Duration)>,
-    /// Busy time per worker (time inside job execution).
+    /// Busy time per worker (time inside job execution). With a trace
+    /// sink attached, it equals the sum of the worker's job spans.
     pub core_busy: Vec<Duration>,
     /// Idle time per worker (time blocked waiting for a ready job);
     /// cross-checks the `insight` crate's stall attribution.
@@ -36,17 +35,6 @@ impl RunReport {
             // truncate iteration counts above `u32::MAX`.
             Duration::from_nanos((self.elapsed.as_nanos() / self.iterations as u128) as u64)
         }
-    }
-
-    /// Per-node busy time, descending.
-    pub fn hottest_nodes(&self) -> Vec<(String, u64, Duration)> {
-        let mut out: Vec<_> = self
-            .per_node
-            .iter()
-            .map(|(k, (j, d))| (k.clone(), *j, *d))
-            .collect();
-        out.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        out
     }
 }
 
@@ -138,7 +126,6 @@ mod tests {
             jobs_executed: 0,
             reconfigs: 0,
             workers: 1,
-            per_node: HashMap::new(),
             core_busy: Vec::new(),
             core_idle: Vec::new(),
         };
@@ -153,7 +140,6 @@ mod tests {
             jobs_executed: 0,
             reconfigs: 0,
             workers: 1,
-            per_node: HashMap::new(),
             core_busy: Vec::new(),
             core_idle: Vec::new(),
         };
@@ -168,7 +154,6 @@ mod tests {
             jobs_executed: 12,
             reconfigs: 0,
             workers: 2,
-            per_node: HashMap::new(),
             core_busy: Vec::new(),
             core_idle: Vec::new(),
         };

@@ -8,7 +8,9 @@ use hinch::event::{Event, EventQueue};
 use hinch::graph::{factory, ComponentSpec, GraphSpec, ManagerSpec};
 use hinch::manager::EventAction;
 use hinch::meter::NullPlatform;
+use hinch::trace::{Clock, Recorder, TraceEvent};
 use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 type Log = Arc<Mutex<Vec<String>>>;
@@ -311,18 +313,39 @@ fn native_report_profiles_nodes() {
     ]);
     // Native: structural output checks only — wall-clock bounds flake on
     // loaded CI machines; cycle accounting is asserted on the sim below.
-    let r = run_native(&g, &RunConfig::new(10).workers(3)).unwrap();
-    assert_eq!(r.per_node.len(), 3);
-    assert_eq!(r.per_node["a"].0, 10);
-    assert_eq!(r.per_node["b"].0, 10);
-    assert_eq!(r.hottest_nodes().len(), 3);
+    // The per-node profile is the trace's job spans.
+    let rec = Recorder::new(Clock::WallNanos);
+    let cfg = RunConfig::new(10).workers(3).trace(rec.sink());
+    let r = run_native(&g, &cfg).unwrap();
     // One busy/idle entry per worker.
     assert_eq!(r.core_busy.len(), 3);
     assert_eq!(r.core_idle.len(), 3);
+    let mut jobs: HashMap<String, u64> = HashMap::new();
+    let mut busy = [0u64; 3];
+    for e in rec.events() {
+        if let TraceEvent::JobSpan {
+            label,
+            core,
+            start,
+            end,
+            ..
+        } = e
+        {
+            *jobs.entry(label).or_default() += 1;
+            busy[core as usize] += end - start;
+        }
+    }
+    assert_eq!(jobs.len(), 3);
+    for node in ["a", "b", "c"] {
+        assert_eq!(jobs[node], 10, "{node}");
+    }
     // No manager in this graph: every job is a component job, and the
-    // per-node profile counts each one exactly once.
-    let profiled: u64 = r.per_node.values().map(|(jobs, _)| jobs).sum();
-    assert_eq!(profiled, r.jobs_executed);
+    // spans count each one exactly once.
+    assert_eq!(jobs.values().sum::<u64>(), r.jobs_executed);
+    // Each job is timed once: a worker's spans sum to its busy time.
+    for (w, d) in r.core_busy.iter().enumerate() {
+        assert_eq!(busy[w], d.as_nanos() as u64, "worker {w}");
+    }
     // Sim: the per-node cycle profile exactly partitions the busy cycles.
     let mut cfg = RunConfig::new(10);
     cfg.overhead.job_base = 7;

@@ -83,20 +83,6 @@ impl Plane {
                 .access(rows.start * self.w..rows.end * self.w, AccessKind::Write),
         );
     }
-
-    /// Report sweeps against any [`hinch::meter::Meter`] (for baselines
-    /// that run outside an engine).
-    pub fn touch_rows(
-        &self,
-        meter: &mut dyn hinch::meter::Meter,
-        rows: Range<usize>,
-        kind: AccessKind,
-    ) {
-        meter.touch(
-            self.data
-                .access(rows.start * self.w..rows.end * self.w, kind),
-        );
-    }
 }
 
 impl std::fmt::Debug for Plane {

@@ -3,27 +3,13 @@
 //! The workspace is dependency-free by design, so JSON is hand-rolled —
 //! but hand-rolled *once*: graph stats, telemetry exports, HTTP error
 //! bodies and analyzer-rejection diagnostics all render through
-//! [`JsonObject`] and share a single [`escape`] implementation. A second
-//! escaping routine is where injection bugs breed.
+//! [`JsonObject`], whose strings go through the workspace's one escaper,
+//! [`trace::export::json_string`] (backslash, quote and control
+//! characters — panic messages carry newlines, labels are arbitrary
+//! caller input via `Runtime::spawn`). A second escaping routine is where
+//! injection bugs breed.
 
-/// Escape a string for embedding inside a JSON string literal
-/// (backslash, quote, and control characters — panic messages carry
-/// newlines, labels are arbitrary caller input via `Runtime::spawn`).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use trace::export::json_string;
 
 /// Render an array from pre-rendered JSON values.
 pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
@@ -32,7 +18,7 @@ pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
 }
 
 /// Incremental `{...}` builder. Field order is insertion order; values
-/// go through exactly one escaping path ([`escape`]) for strings, or in
+/// go through exactly one escaping path ([`json_string`]) for strings, or in
 /// raw for pre-rendered sub-documents.
 pub(crate) struct JsonObject {
     buf: String,
@@ -57,10 +43,7 @@ impl JsonObject {
 
     /// A string field, escaped.
     pub(crate) fn str(mut self, key: &str, value: &str) -> Self {
-        let buf = self.key(key);
-        buf.push('"');
-        buf.push_str(&escape(value));
-        buf.push('"');
+        self.key(key).push_str(&json_string(value));
         self
     }
 
@@ -104,20 +87,6 @@ impl JsonObject {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The single escaping test of the crate: every writer call site
-    /// funnels through [`escape`], so this covers the stats renderer,
-    /// the telemetry export, and the HTTP error/rejection bodies alike.
-    #[test]
-    fn escape_neutralizes_quotes_controls_and_backslashes() {
-        assert_eq!(escape("plain"), "plain");
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("line\nbreak\r\ttab"), "line\\nbreak\\r\\ttab");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        // Non-ASCII passes through (JSON is UTF-8).
-        assert_eq!(escape("żółć"), "żółć");
-    }
 
     #[test]
     fn object_builder_renders_each_field_kind() {

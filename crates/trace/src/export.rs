@@ -517,8 +517,9 @@ fn gantt_bar(spans: &[(u32, Time, Time)], core: u32, t0: Time, t1: Time) -> Stri
         .collect()
 }
 
-/// Escape a string as a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
+/// Escape a string as a JSON string literal (with quotes). The one JSON
+/// escaper of the workspace: every hand-rolled JSON writer calls it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -714,6 +715,15 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        for (raw, escaped) in [
+            ("a\"b\\c\n", "a\\\"b\\\\c\\n"),
+            ("plain", "plain"),
+            ("line\nbreak\r\ttab", "line\\nbreak\\r\\ttab"),
+            ("\u{1}", "\\u0001"),
+            // Non-ASCII passes through (JSON is UTF-8).
+            ("żółć", "żółć"),
+        ] {
+            assert_eq!(json_string(raw), format!("\"{escaped}\""), "{raw:?}");
+        }
     }
 }

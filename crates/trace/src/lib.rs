@@ -8,13 +8,12 @@
 //! *virtual cycles* under the simulation engine and *wall-clock
 //! nanoseconds* under the native engine; the [`Clock`] tag says which.
 //!
-//! The default sink is the [`Recorder`]: a thread-buffered flight
-//! recorder. Each recording thread appends to its own shard (found via a
-//! `thread_local` cache, so the hot path takes no contended lock), and a
-//! process-wide sequence counter provides a total order for the final
-//! merge. Under the deterministic simulation engine all events come from
-//! one thread, so a drained trace — and every exporter in
-//! [`export`] — is byte-identical across runs.
+//! The default sink is the [`Recorder`]: one ordered buffer behind a
+//! mutex, whose lock order is the recording order. The native engine
+//! records each job's span and each park once, from the worker that ran
+//! the job or parked. Under the deterministic
+//! simulation engine all events come from one thread, so a drained trace
+//! — and every exporter in [`export`] — is byte-identical across runs.
 //!
 //! Tracing is opt-in per run. A run without a sink pays one branch per
 //! would-be event and performs no allocation; see the
@@ -25,9 +24,7 @@ pub mod input;
 pub mod metrics;
 pub mod ring;
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 /// A timestamp: wall-clock nanoseconds (native engine) or virtual cycles
 /// (simulation engine). Which one is in force is described by [`Clock`].
@@ -240,31 +237,12 @@ impl TraceSink for NullSink {
     fn record(&self, _event: TraceEvent) {}
 }
 
-static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread cache of `recorder id → shard`, so the hot recording
-    /// path never touches the recorder's shared shard list.
-    static LOCAL_SHARDS: RefCell<Vec<(u64, Weak<Shard>)>> =
-        const { RefCell::new(Vec::new()) };
-}
-
-#[derive(Default)]
-struct Shard {
-    /// `(global sequence number, event)` — the sequence number restores a
-    /// total order when shards are merged.
-    events: Mutex<Vec<(u64, TraceEvent)>>,
-}
-
 struct Inner {
-    id: u64,
     clock: Clock,
-    seq: AtomicU64,
-    shards: Mutex<Vec<Arc<Shard>>>,
+    events: Mutex<Vec<TraceEvent>>,
 }
 
-/// The flight recorder: buffers events in per-thread shards and merges
-/// them into arrival order on [`Recorder::events`].
+/// The flight recorder: one buffer of events in recording order.
 ///
 /// Cloning is cheap (an `Arc` bump); clones share the same buffer.
 #[derive(Clone)]
@@ -276,10 +254,8 @@ impl Recorder {
     pub fn new(clock: Clock) -> Self {
         Self {
             inner: Arc::new(Inner {
-                id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
                 clock,
-                seq: AtomicU64::new(0),
-                shards: Mutex::new(Vec::new()),
+                events: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -296,46 +272,22 @@ impl Recorder {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.seq.load(Ordering::Relaxed) as usize
+        lock(&self.inner.events).len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// All events, merged across threads into recording order.
+    /// All events, in recording order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let shards = lock(&self.inner.shards).clone();
-        let mut all: Vec<(u64, TraceEvent)> = Vec::new();
-        for shard in &shards {
-            all.extend(lock(&shard.events).iter().cloned());
-        }
-        all.sort_by_key(|(seq, _)| *seq);
-        all.into_iter().map(|(_, event)| event).collect()
-    }
-
-    fn local_shard(&self) -> Arc<Shard> {
-        LOCAL_SHARDS.with(|cell| {
-            let mut map = cell.borrow_mut();
-            if let Some((_, weak)) = map.iter().find(|(id, _)| *id == self.inner.id) {
-                if let Some(shard) = weak.upgrade() {
-                    return shard;
-                }
-            }
-            let shard = Arc::new(Shard::default());
-            lock(&self.inner.shards).push(shard.clone());
-            map.retain(|(_, weak)| weak.strong_count() > 0);
-            map.push((self.inner.id, Arc::downgrade(&shard)));
-            shard
-        })
+        lock(&self.inner.events).clone()
     }
 }
 
 impl TraceSink for Recorder {
     fn record(&self, event: TraceEvent) {
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-        let shard = self.local_shard();
-        lock(&shard.events).push((seq, event));
+        lock(&self.inner.events).push(event);
     }
 }
 

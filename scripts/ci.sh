@@ -50,6 +50,16 @@ if grep -RnE 'std::sync::atomic|std::thread|parking_lot' crates/hinch/src/engine
 fi
 echo "facade lint: clean"
 
+echo "== escaper lint (one JSON string escaper) =="
+# Every hand-rolled JSON writer escapes strings through
+# trace::export::json_string; a copy of its control-character escape
+# anywhere else is a second escaper.
+if grep -RnF '\u{:04x}' crates/*/src | grep -v '^crates/trace/src/export.rs:'; then
+    echo "escaper lint: call trace::export::json_string instead of a new JSON escaper" >&2
+    exit 1
+fi
+echo "escaper lint: clean"
+
 echo "== schedcheck (model-checked engine protocols) =="
 # Seeded, bounded exploration of the engine's sync protocols under
 # `--cfg hinch_model` (separate target dir: the cfg changes every
